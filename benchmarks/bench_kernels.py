@@ -7,15 +7,26 @@ available. Compilation happens during warm-up, so the table shows
 steady-state times. Run with NSCA_NO_NUMBA=1 to confirm the fallback column
 on its own.
 
+Every case checks the status or convergence flag its kernel returns: the
+scans must run all T steps and the iterative solvers must converge, so no row
+times an early exit. The script exits non-zero if any case fails that check.
+The EASI case runs on a prewhitened generator record at the CLI step (1e-4);
+the Kalman cases run a unit-noise model and a `fit_ar1_state_space` model of
+a generator record, where the numpy scan switches to the steady-state gain.
+
 Usage: python3 benchmarks/bench_kernels.py [--t 20000] [--repeats 5]
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
 
 from nsca import _kernels as K
+from nsca.cli import CLI_EASI_STEP
+from nsca.detectors import fit_ar1_state_space, prewhiten
+from nsca.synthetic import DEFAULT_BURST, default_source_specs, gen_mixture
 
 
 def best_of(fn, repeats):
@@ -27,6 +38,27 @@ def best_of(fn, repeats):
         if dt < best:
             best = dt
     return best
+
+
+# Each check maps a kernel's return value to None (ok) or a failure message.
+def ok_pivot(out):
+    return None if out[1] < 0 else f"not positive definite at column {out[1]}"
+
+
+def ok_status(out):
+    return None if out[-2] == 0 else f"stopped at step {out[-1]}"
+
+
+def ok_converged(out):
+    return None if out[-1] == 1 else f"no convergence in {out[-2]} sweeps"
+
+
+def ok_finite(out):
+    return None if np.isfinite(out).all() else "non-finite output"
+
+
+def ok_windows(out):
+    return None if out[1][-1] else "last window rejected"
 
 
 def build_cases(T):
@@ -50,15 +82,28 @@ def build_cases(T):
     Rm = np.ascontiguousarray(np.eye(m))
     x0 = np.zeros(m)
     P0 = np.ascontiguousarray(np.eye(m))
+    rec, _ = gen_mixture(m, T, DEFAULT_BURST, default_source_specs(m), seed=0)
+    white = np.ascontiguousarray(prewhiten(rec).samples.T)
+    fit = fit_ar1_state_space(rec)
+    fit_args = (
+        np.ascontiguousarray(rec.samples.T),
+        fit.transition,
+        fit.observation,
+        np.ascontiguousarray(fit.process_noise_cov.entries),
+        np.ascontiguousarray(fit.obs_noise_cov.entries),
+        fit.init_state,
+        np.ascontiguousarray(fit.init_cov.entries),
+    )
     return [
-        ("cholesky 8x8", "cholesky", lambda f: f(S, 0.0)),
-        ("solve_lower 8x8", "solve_lower", lambda f: f(L, B)),
-        ("jacobi_eig 8x8", "jacobi_eig", lambda f: f(S, 100, 1e-12)),
-        ("ajd_rotate K=6 n=8", "ajd_rotate", lambda f: f(M.copy(), weights, 200, 1e-10)),
-        (f"ad_sliding T={T} p=64", "ad_sliding", lambda f: f(x, 64, 0.0, 1.0, 1e-12)),
-        (f"easi_scan T={T} n={m}", "easi_scan", lambda f: f(xt, 0.01, 0, 1e6)),
-        (f"kalman_scan T={T} n={m}", "kalman_scan", lambda f: f(xt, F, H, Qm, Rm, x0, P0)),
-        (f"ar_sliding T={T} w=512 q=4", "ar_sliding", lambda f: f(x, 512, 4, 1e-300)),
+        ("cholesky 8x8", "cholesky", lambda f: f(S, 0.0), ok_pivot),
+        ("solve_lower 8x8", "solve_lower", lambda f: f(L, B), ok_finite),
+        ("jacobi_eig 8x8", "jacobi_eig", lambda f: f(S, 100, 1e-12), ok_converged),
+        ("ajd_rotate K=6 n=8", "ajd_rotate", lambda f: f(M.copy(), weights, 200, 1e-10), ok_converged),
+        (f"ad_sliding T={T} p=64", "ad_sliding", lambda f: f(x, 64, 0.0, 1.0, 1e-12), ok_finite),
+        (f"easi_scan T={T} n={m}", "easi_scan", lambda f: f(white, CLI_EASI_STEP, 0, 1e6), ok_status),
+        (f"kalman_scan T={T} n={m}", "kalman_scan", lambda f: f(xt, F, H, Qm, Rm, x0, P0), ok_status),
+        (f"kalman_scan fit T={T} n={m}", "kalman_scan", lambda f: f(*fit_args), ok_status),
+        (f"ar_sliding T={T} w=512 q=4", "ar_sliding", lambda f: f(x, 512, 4, 1e-300), ok_windows),
     ]
 
 
@@ -69,21 +114,28 @@ def main():
     args = ap.parse_args()
 
     print(f"numba active: {K.HAVE_NUMBA}   (NSCA_NO_NUMBA disables it)")
-    header = f"{'kernel':<28}{'numpy ms':>12}{'numba ms':>12}{'speedup':>10}"
+    header = f"{'kernel':<30}{'numpy ms':>12}{'numba ms':>12}{'speedup':>10}"
     print(header)
     print("-" * len(header))
-    for label, base, call in build_cases(args.t):
-        f_np = getattr(K, base + "_np")
-        f_nb = getattr(K, base + "_nb", None)
-        call(f_np)
-        t_np = best_of(lambda: call(f_np), args.repeats) * 1e3
-        if f_nb is None:
-            print(f"{label:<28}{t_np:>12.3f}{'-':>12}{'-':>10}")
-            continue
-        call(f_nb)  # triggers compilation outside the timing
-        t_nb = best_of(lambda: call(f_nb), args.repeats) * 1e3
-        print(f"{label:<28}{t_np:>12.3f}{t_nb:>12.3f}{t_np / t_nb:>9.1f}x")
+    failures = []
+    for label, base, call, check in build_cases(args.t):
+        paths = [getattr(K, base + "_np"), getattr(K, base + "_nb", None)]
+        times = []
+        for f in paths:
+            if f is None:
+                continue
+            problem = check(call(f))  # also triggers compilation outside the timing
+            if problem:
+                failures.append(f"{label} ({f.__name__}): {problem}")
+            times.append(best_of(lambda: call(f), args.repeats) * 1e3)
+        if len(times) == 1:
+            print(f"{label:<30}{times[0]:>12.3f}{'-':>12}{'-':>10}")
+        else:
+            print(f"{label:<30}{times[0]:>12.3f}{times[1]:>12.3f}{times[0] / times[1]:>9.1f}x")
+    for msg in failures:
+        print(f"FAILED {msg}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -420,6 +420,18 @@ def easi_scan_np(xt, lam, nonlin, cap):
 # ---------------------------------------------------------------------------
 # Kalman filter scan: normalized squared innovations for an LTI model
 # ---------------------------------------------------------------------------
+#
+# The model is time-invariant, so the Riccati recursion for the predicted
+# covariance P converges (the steady-state filter; Anderson & Moore, Optimal
+# Filtering, 1979, ch. 4). kalman_scan_np runs the Joseph-form update until
+# the change of P per step is at most _STEADY_TOL of max|P| and has set no
+# new low over the latter half of the steps so far (only rounding noise is
+# left), then switches to the fixed gain if the closed loop F(I - KH) is
+# stable. _kalman_scan_loop (the jitted path) never switches.
+
+_STEADY_TOL = 1e-12
+_BLOCK = 2048
+
 
 def _kalman_scan_loop(zt, F, H, Q, R, x0, P0):
     # zt is (T, m). Returns (e, status, where); status 1 means the innovation
@@ -487,6 +499,31 @@ def _kalman_scan_loop(zt, F, H, Q, R, x0, P0):
     return e, 0, -1
 
 
+def _steady_gain(F, H, P, S):
+    # closed-loop matrix F(I - KH) and input matrix FK of the fixed-gain filter
+    FK = F @ np.linalg.solve(S, H @ P).T
+    return F - FK @ H, FK
+
+
+def _fixed_gain_innovations(zt, A, B, H, S, x, out):
+    # e over zt, into out, for x_{j+1} = A x_j + B z_j from predicted state x,
+    # in blocks of _BLOCK rows to keep temporaries small. Prefix scan: with
+    # v_0 = x and v_j = B z_{j-1}, after the pass at offset d row j holds the
+    # sum of A^(j-i) v_i over the 2d rows i <= j.
+    for a in range(0, zt.shape[0], _BLOCK):
+        z = zt[a:a + _BLOCK]
+        X = np.empty((z.shape[0], x.size))
+        X[0] = x
+        X[1:] = z[:-1] @ B.T
+        Ad, d = A, 1
+        while d < z.shape[0]:
+            X[d:] += X[:-d] @ Ad.T
+            Ad, d = Ad @ Ad, 2 * d
+        x = A @ X[-1] + B @ z[-1]
+        innov = z - X @ H.T
+        out[a:a + _BLOCK] = np.einsum("ij,ji->i", innov, np.linalg.solve(S, innov.T))
+
+
 def kalman_scan_np(zt, F, H, Q, R, x0, P0):
     T, m = zt.shape
     sdim = F.shape[0]
@@ -494,6 +531,8 @@ def kalman_scan_np(zt, F, H, Q, R, x0, P0):
     P = P0.copy()
     eye_s = np.eye(sdim)
     e = np.zeros(T)
+    P_prev = np.full_like(P, np.nan)
+    best, k_best, steady = np.inf, 0, True
     for k in range(T):
         x = F @ x
         P = F @ P @ F.T + Q
@@ -503,6 +542,16 @@ def kalman_scan_np(zt, F, H, Q, R, x0, P0):
             np.linalg.cholesky(S)
         except np.linalg.LinAlgError:
             return e, 1, k
+        d = np.max(np.abs(P - P_prev))
+        if d < best:
+            best, k_best = d, k
+        elif steady and k >= 2 * k_best and best <= _STEADY_TOL * np.max(np.abs(P)):
+            A, B = _steady_gain(F, H, P, S)
+            if np.max(np.abs(np.linalg.eigvals(A))) < 1.0:
+                _fixed_gain_innovations(zt[k:], A, B, H, S, x, e[k:])
+                return e, 0, -1
+            steady = False
+        P_prev = P
         a = np.linalg.solve(S, innov)
         e[k] = innov @ a
         K = np.linalg.solve(S, H @ P).T

@@ -438,7 +438,9 @@ def normalized_innovations(record, model):
     For data that actually follows the model, ``e`` has mean ``obs_dim`` and
     no serial correlation; bursts that leave the model inflate and correlate
     it. Raises :class:`NotPositiveDefinite` if an innovation covariance loses
-    definiteness mid-run.
+    definiteness mid-run. The numpy scan switches to the fixed steady-state
+    gain once the predicted covariance has converged to rounding, and runs the
+    full filter throughout if it never does or the closed loop is unstable.
     """
     if not isinstance(record, Record):
         record = Record(record)

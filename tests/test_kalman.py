@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_discrete_are
 
+from nsca import _kernels
 from nsca.detectors import (
     StateSpaceModel,
     fit_ar1_state_space,
@@ -12,6 +16,7 @@ from nsca.detectors import (
 from nsca.errors import InvalidWindow, ModelMismatch
 from nsca.linalg import SymMatrix
 from nsca.records import Record
+from nsca.synthetic import DEFAULT_BURST, default_source_specs, gen_mixture
 
 Q, R, T = 0.01, 1.0, 20_000
 
@@ -157,3 +162,120 @@ class TestFittedBackgroundModel:
 
         with pytest.raises(ShapeMismatch):
             fit_ar1_state_space(Record(np.ones((3, 4))))
+
+
+def scan_args(record, model):
+    return (
+        np.ascontiguousarray(record.samples.T),
+        model.transition,
+        model.observation,
+        np.ascontiguousarray(model.process_noise_cov.entries),
+        np.ascontiguousarray(model.obs_noise_cov.entries),
+        model.init_state,
+        np.ascontiguousarray(model.init_cov.entries),
+    )
+
+
+def fitted_mixture(T):
+    rec, _ = gen_mixture(4, T, dict(count=6, min_len=100, max_len=300, amplitude=4.0), seed=3)
+    return scan_args(rec, fit_ar1_state_space(rec))
+
+
+def fitted_cli_record():
+    # CLI synth settings; here the predicted covariance ends in rounding
+    # noise rather than an exact fixed point, and a switch at the first step
+    # where its change stops shrinking would miss the tolerance below
+    rec, _ = gen_mixture(5, 10_000, DEFAULT_BURST, default_source_specs(5), seed=7)
+    return scan_args(rec, fit_ar1_state_space(rec))
+
+
+FITTED = pytest.mark.parametrize(
+    "make_args", [lambda: fitted_mixture(6000), fitted_cli_record], ids=["mixture", "cli_synth"]
+)
+
+
+@pytest.fixture
+def switches(monkeypatch):
+    """Predicted covariances the numpy scan forms its fixed gain from."""
+    seen = []
+    real = _kernels._steady_gain
+
+    def spy(F, H, P, S):
+        seen.append(P.copy())
+        return real(F, H, P, S)
+
+    monkeypatch.setattr(_kernels, "_steady_gain", spy)
+    return seen
+
+
+class TestSteadyStateSwitch:
+    @FITTED
+    def test_switch_covariance_solves_the_dare(self, switches, make_args):
+        args = make_args()
+        _, F, H, Q, R, _, _ = args
+        e, status, where = _kernels.kalman_scan_np(*args)
+        assert (status, where) == (0, -1)
+        assert len(switches) == 1
+        np.testing.assert_allclose(switches[0], solve_discrete_are(F.T, H.T, Q, R), rtol=1e-8)
+
+    @FITTED
+    def test_matches_full_joseph_scan(self, switches, make_args):
+        args = make_args()
+        e, status, _ = _kernels.kalman_scan_np(*args)
+        assert status == 0 and len(switches) == 1
+        e_ref, status_ref, _ = _kernels._kalman_scan_loop(*args)
+        assert status_ref == 0
+        np.testing.assert_allclose(e, e_ref, rtol=1e-9, atol=0)
+
+    def test_short_record_is_the_full_scan_bit_for_bit(self, switches, monkeypatch):
+        zt, *model = fitted_mixture(6000)
+        short = np.ascontiguousarray(zt[:40])
+        e, status, _ = _kernels.kalman_scan_np(short, *model)
+        assert status == 0 and not switches
+        monkeypatch.setattr(_kernels, "_STEADY_TOL", -1.0)  # no switch: the Joseph loop throughout
+        e_full, _, _ = _kernels.kalman_scan_np(zt, *model)
+        assert not switches
+        assert np.array_equal(e, e_full[:40])
+
+    def test_unstable_closed_loop_keeps_the_full_scan(self, switches, monkeypatch):
+        # the first state is unobserved and unstable: P converges, but the
+        # steady-state closed loop keeps its pole at 1.5, so the scan must not
+        # switch, and must not try again at every later step either
+        zt = np.random.default_rng(5).normal(size=(400, 1))
+        args = (zt, np.diag([1.5, 0.5]), np.array([[0.0, 1.0]]), np.diag([0.0, 1.0]),
+                np.eye(1), np.zeros(2), np.diag([0.0, 1.0]))
+        e, status, _ = _kernels.kalman_scan_np(*args)
+        assert status == 0 and len(switches) == 1
+        monkeypatch.setattr(_kernels, "_STEADY_TOL", -1.0)
+        assert np.array_equal(e, _kernels.kalman_scan_np(*args)[0])
+
+    def test_indefinite_innovation_covariance_still_reported(self):
+        zt = np.ones((50, 1))
+        F, H = np.eye(1), np.eye(1)
+        e, status, where = _kernels.kalman_scan_np(
+            zt, F, H, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1))
+        )
+        assert (status, where) == (1, 0)
+
+
+def _stable_model(draw, s, m):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    F = rng.normal(size=(s, s))
+    F *= draw(st.floats(0.0, 0.99)) / max(np.abs(np.linalg.eigvals(F)).max(), 1e-12)
+    G = rng.normal(size=(s, s))
+    Q = G @ G.T + draw(st.floats(1e-3, 1.0)) * np.eye(s)
+    G = rng.normal(size=(m, m))
+    R = G @ G.T + draw(st.floats(1e-3, 1.0)) * np.eye(m)
+    zt = 3.0 * rng.normal(size=(1500, m))
+    H = rng.normal(size=(m, s))
+    return [np.ascontiguousarray(a) for a in (zt, F, H, Q, R, np.zeros(s), np.eye(s))]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 4), st.integers(1, 3))
+def test_fixed_gain_matches_full_scan_on_stable_models(data, s, m):
+    args = _stable_model(data.draw, s, m)
+    e, status, _ = _kernels.kalman_scan_np(*args)
+    e_ref, status_ref, _ = _kernels._kalman_scan_loop(*args)
+    assert status == status_ref == 0
+    np.testing.assert_allclose(e, e_ref, rtol=1e-9, atol=0)
