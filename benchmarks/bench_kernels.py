@@ -1,18 +1,15 @@
 #!/usr/bin/env python3
-"""Timing harness for the dual-path kernels.
+"""Timing harness for the numerical kernels.
 
-Each kernel runs on inputs sized like real detector work, once through the
-plain numpy implementation and once through the compiled path when numba is
-available. Compilation happens during warm-up, so the table shows
-steady-state times. Run with NSCA_NO_NUMBA=1 to confirm the fallback column
-on its own.
+Each kernel runs on inputs sized like real detector work; the table shows the
+best-of-N time per kernel after one untimed run.
 
 Every case checks the status or convergence flag its kernel returns: the
 scans must run all T steps and the iterative solvers must converge, so no row
 times an early exit. The script exits non-zero if any case fails that check.
 The EASI case runs on a prewhitened generator record at the CLI step (1e-4);
 the Kalman cases run a unit-noise model and a `fit_ar1_state_space` model of
-a generator record, where the numpy scan switches to the steady-state gain.
+a generator record, where the scan switches to the steady-state gain.
 
 Usage: python3 benchmarks/bench_kernels.py [--t 20000] [--repeats 5]
 """
@@ -113,25 +110,16 @@ def main():
     ap.add_argument("--repeats", type=int, default=5, help="best-of repeats per kernel")
     args = ap.parse_args()
 
-    print(f"numba active: {K.HAVE_NUMBA}   (NSCA_NO_NUMBA disables it)")
-    header = f"{'kernel':<30}{'numpy ms':>12}{'numba ms':>12}{'speedup':>10}"
+    header = f"{'kernel':<30}{'ms':>12}"
     print(header)
     print("-" * len(header))
     failures = []
     for label, base, call, check in build_cases(args.t):
-        paths = [getattr(K, base + "_np"), getattr(K, base + "_nb", None)]
-        times = []
-        for f in paths:
-            if f is None:
-                continue
-            problem = check(call(f))  # also triggers compilation outside the timing
-            if problem:
-                failures.append(f"{label} ({f.__name__}): {problem}")
-            times.append(best_of(lambda: call(f), args.repeats) * 1e3)
-        if len(times) == 1:
-            print(f"{label:<30}{times[0]:>12.3f}{'-':>12}{'-':>10}")
-        else:
-            print(f"{label:<30}{times[0]:>12.3f}{times[1]:>12.3f}{times[0] / times[1]:>9.1f}x")
+        f = getattr(K, base)
+        problem = check(call(f))
+        if problem:
+            failures.append(f"{label}: {problem}")
+        print(f"{label:<30}{best_of(lambda: call(f), args.repeats) * 1e3:>12.3f}")
     for msg in failures:
         print(f"FAILED {msg}", file=sys.stderr)
     return 1 if failures else 0

@@ -183,10 +183,13 @@ def cmd_detect(args):
         raise BadSpec("no detectors selected")
     if not 0 <= args.ref_channel < record.channels:
         raise BadChannel(f"reference channel {args.ref_channel} out of range")
-    overlays = {}
+    # every detector runs before any output, so a failing one writes nothing
+    results = []
     for name in names:
         idx = _run_detector(name, record, args)
-        norm = normalize_index(idx)
+        results.append((name, idx, normalize_index(idx)))
+    overlays = {}
+    for name, idx, norm in results:
         io.write_index(_out_path(args, f"{name}.csv"), idx)
         io.write_index(_out_path(args, f"{name}_norm.csv"), norm)
         valid = idx.values[idx.valid_from:]

@@ -1,11 +1,13 @@
 """Symmetric dense linear algebra for small covariance matrices.
 
-The solvers here are written against the package's own kernels rather than
-LAPACK so that their failure behaviour is fully specified: Cholesky reports
-the failing pivot, the Jacobi eigensolver and the joint diagonalizer report
-their sweep budgets, and every tolerance is explicit. Matrices in this
+The solvers here run on the package's own numpy kernels (``_kernels``) rather
+than LAPACK so that their failure behaviour is fully specified: Cholesky
+reports the failing pivot, the Jacobi eigensolver and the joint diagonalizer
+report their sweep budgets, and every tolerance is explicit. Matrices in this
 package are covariance-sized (a few dozen rows at most), where cyclic Jacobi
-sweeps are accurate and fast enough.
+sweeps are accurate and fast enough, and where the numpy Cholesky and
+triangular solves cost less per call than ``scipy.linalg``, which brings its
+own OpenBLAS thread pool.
 """
 
 from dataclasses import dataclass

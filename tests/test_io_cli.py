@@ -187,6 +187,16 @@ class TestCliDetect:
     def test_missing_record_file(self, tmp_path):
         assert run(["detect", "--record", tmp_path / "nope.csv", "--out-dir", tmp_path]) == 3
 
+    def test_failing_detector_writes_nothing(self, synth_dir, tmp_path, capsys):
+        # ad and envelope succeed, then EASI diverges at this step size; the
+        # run must not leave the first two detectors' files behind
+        code = run(["detect", "--record", synth_dir / "record.csv",
+                    "--detectors", "ad,envelope,easi", "--easi-step", 10,
+                    "--out-dir", tmp_path])
+        assert code == 4
+        assert not list(tmp_path.iterdir())
+        assert capsys.readouterr().out == ""
+
     def test_plot_data_emitted(self, synth_dir, tmp_path):
         code = run(["detect", "--record", synth_dir / "record.csv",
                     "--detectors", "envelope", "--envelope-window", 151,

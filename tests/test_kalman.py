@@ -1,5 +1,7 @@
 """State-space innovation detector tests against a matched generator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,72 @@ def scan_args(record, model):
     )
 
 
+def joseph_scan(zt, F, H, Q, R, x0, P0):
+    # Reference for _kernels.kalman_scan: the full Joseph-form filter at every
+    # step, never switching to the steady-state gain, with its own Cholesky
+    # and triangular solves written out as loops.
+    T = zt.shape[0]
+    m = zt.shape[1]
+    sdim = F.shape[0]
+    x = x0.copy()
+    P = P0.copy()
+    eye_s = np.eye(sdim)
+    e = np.zeros(T)
+    Ls = np.zeros((m, m))
+    a = np.zeros(m)
+    for k in range(T):
+        x = F @ x
+        P = F @ P @ F.T + Q
+        innov = zt[k] - H @ x
+        S = H @ P @ H.T + R
+        fail = -1
+        for j in range(m):
+            d = S[j, j]
+            for t in range(j):
+                d -= Ls[j, t] * Ls[j, t]
+            if d <= 0.0:
+                fail = j
+                break
+            Ls[j, j] = math.sqrt(d)
+            for i in range(j + 1, m):
+                acc = S[i, j]
+                for t in range(j):
+                    acc -= Ls[i, t] * Ls[j, t]
+                Ls[i, j] = acc / Ls[j, j]
+        if fail >= 0:
+            return e, 1, k
+        for i in range(m):
+            acc = innov[i]
+            for t in range(i):
+                acc -= Ls[i, t] * a[t]
+            a[i] = acc / Ls[i, i]
+        for i in range(m - 1, -1, -1):
+            acc = a[i]
+            for t in range(i + 1, m):
+                acc -= Ls[t, i] * a[t]
+            a[i] = acc / Ls[i, i]
+        e[k] = innov @ a
+        B = H @ P  # (m, sdim); gain K solves S K^T = B
+        Kt = np.zeros((m, sdim))
+        for c in range(sdim):
+            for i in range(m):
+                acc = B[i, c]
+                for t in range(i):
+                    acc -= Ls[i, t] * Kt[t, c]
+                Kt[i, c] = acc / Ls[i, i]
+            for i in range(m - 1, -1, -1):
+                acc = Kt[i, c]
+                for t in range(i + 1, m):
+                    acc -= Ls[t, i] * Kt[t, c]
+                Kt[i, c] = acc / Ls[i, i]
+        K = Kt.T.copy()
+        x = x + K @ innov
+        IKH = eye_s - K @ H
+        P = IKH @ P @ IKH.T + K @ R @ K.T
+        P = 0.5 * (P + P.T)
+    return e, 0, -1
+
+
 def fitted_mixture(T):
     rec, _ = gen_mixture(4, T, dict(count=6, min_len=100, max_len=300, amplitude=4.0), seed=3)
     return scan_args(rec, fit_ar1_state_space(rec))
@@ -213,7 +281,7 @@ class TestSteadyStateSwitch:
     def test_switch_covariance_solves_the_dare(self, switches, make_args):
         args = make_args()
         _, F, H, Q, R, _, _ = args
-        e, status, where = _kernels.kalman_scan_np(*args)
+        e, status, where = _kernels.kalman_scan(*args)
         assert (status, where) == (0, -1)
         assert len(switches) == 1
         np.testing.assert_allclose(switches[0], solve_discrete_are(F.T, H.T, Q, R), rtol=1e-8)
@@ -221,19 +289,19 @@ class TestSteadyStateSwitch:
     @FITTED
     def test_matches_full_joseph_scan(self, switches, make_args):
         args = make_args()
-        e, status, _ = _kernels.kalman_scan_np(*args)
+        e, status, _ = _kernels.kalman_scan(*args)
         assert status == 0 and len(switches) == 1
-        e_ref, status_ref, _ = _kernels._kalman_scan_loop(*args)
+        e_ref, status_ref, _ = joseph_scan(*args)
         assert status_ref == 0
         np.testing.assert_allclose(e, e_ref, rtol=1e-9, atol=0)
 
     def test_short_record_is_the_full_scan_bit_for_bit(self, switches, monkeypatch):
         zt, *model = fitted_mixture(6000)
         short = np.ascontiguousarray(zt[:40])
-        e, status, _ = _kernels.kalman_scan_np(short, *model)
+        e, status, _ = _kernels.kalman_scan(short, *model)
         assert status == 0 and not switches
         monkeypatch.setattr(_kernels, "_STEADY_TOL", -1.0)  # no switch: the Joseph loop throughout
-        e_full, _, _ = _kernels.kalman_scan_np(zt, *model)
+        e_full, _, _ = _kernels.kalman_scan(zt, *model)
         assert not switches
         assert np.array_equal(e, e_full[:40])
 
@@ -244,15 +312,15 @@ class TestSteadyStateSwitch:
         zt = np.random.default_rng(5).normal(size=(400, 1))
         args = (zt, np.diag([1.5, 0.5]), np.array([[0.0, 1.0]]), np.diag([0.0, 1.0]),
                 np.eye(1), np.zeros(2), np.diag([0.0, 1.0]))
-        e, status, _ = _kernels.kalman_scan_np(*args)
+        e, status, _ = _kernels.kalman_scan(*args)
         assert status == 0 and len(switches) == 1
         monkeypatch.setattr(_kernels, "_STEADY_TOL", -1.0)
-        assert np.array_equal(e, _kernels.kalman_scan_np(*args)[0])
+        assert np.array_equal(e, _kernels.kalman_scan(*args)[0])
 
     def test_indefinite_innovation_covariance_still_reported(self):
         zt = np.ones((50, 1))
         F, H = np.eye(1), np.eye(1)
-        e, status, where = _kernels.kalman_scan_np(
+        e, status, where = _kernels.kalman_scan(
             zt, F, H, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1))
         )
         assert (status, where) == (1, 0)
@@ -275,7 +343,7 @@ def _stable_model(draw, s, m):
 @given(st.data(), st.integers(1, 4), st.integers(1, 3))
 def test_fixed_gain_matches_full_scan_on_stable_models(data, s, m):
     args = _stable_model(data.draw, s, m)
-    e, status, _ = _kernels.kalman_scan_np(*args)
-    e_ref, status_ref, _ = _kernels._kalman_scan_loop(*args)
+    e, status, _ = _kernels.kalman_scan(*args)
+    e_ref, status_ref, _ = joseph_scan(*args)
     assert status == status_ref == 0
     np.testing.assert_allclose(e, e_ref, rtol=1e-9, atol=0)

@@ -1,160 +1,62 @@
-"""Parity between the jitted kernels and their numpy fallbacks.
+"""The vectorized sliding kernels against per-window references.
 
-Both implementations execute the same arithmetic, so outputs must agree to
-rounding noise on identical inputs. Skipped when numba is unavailable (the
-fallbacks are then the only path and parity is trivial). The NSCA_NO_NUMBA
-switch itself is exercised in a subprocess.
+``ar_sliding`` and ``ad_sliding`` compute every window at once from running
+sums and a strided view. Here a few windows are recomputed one at a time, by
+a Toeplitz solve of the window's autocovariances and by the direct
+Anderson-Darling sum over the sorted window.
 """
 
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_toeplitz
 
-from nsca import _kernels as k
-
-needs_numba = pytest.mark.skipif(not k.HAVE_NUMBA, reason="numba not active")
-
-
-def spd(rng, n):
-    A = rng.normal(size=(n, n))
-    return np.ascontiguousarray(A @ A.T + n * np.eye(n))
+from nsca import _kernels
 
 
-@needs_numba
-class TestPairwiseParity:
-    def test_cholesky(self):
-        rng = np.random.default_rng(0)
-        for n in (2, 5, 9):
-            S = spd(rng, n)
-            L_nb, bad_nb = k.cholesky_nb(S, 1e-300)
-            L_np, bad_np = k.cholesky_np(S, 1e-300)
-            assert bad_nb == bad_np == -1
-            assert np.allclose(L_nb, L_np, rtol=1e-13, atol=1e-13)
-
-    def test_cholesky_failure_column_agrees(self):
-        S = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-        _, bad_nb = k.cholesky_nb(S, 1e-300)
-        _, bad_np = k.cholesky_np(S, 1e-300)
-        assert bad_nb == bad_np >= 0
-
-    def test_triangular_solves(self):
-        rng = np.random.default_rng(1)
-        S = spd(rng, 6)
-        L, _ = k.cholesky_np(S, 1e-300)
-        B = np.ascontiguousarray(rng.normal(size=(6, 11)))
-        assert np.allclose(k.solve_lower_nb(L, B), k.solve_lower_np(L, B), rtol=1e-12)
-        assert np.allclose(k.solve_lower_t_nb(L, B), k.solve_lower_t_np(L, B), rtol=1e-12)
-
-    def test_jacobi_eig(self):
-        rng = np.random.default_rng(2)
-        S = spd(rng, 7)
-        vals_nb, vecs_nb, _, conv_nb = k.jacobi_eig_nb(S, 64, 1e-14)
-        vals_np, vecs_np, _, conv_np = k.jacobi_eig_np(S, 64, 1e-14)
-        assert conv_nb == conv_np == 1
-        assert np.allclose(vals_nb, vals_np, rtol=1e-10)
-        # eigenvectors may differ by sign per column
-        for j in range(7):
-            assert min(
-                np.abs(vecs_nb[:, j] - vecs_np[:, j]).max(),
-                np.abs(vecs_nb[:, j] + vecs_np[:, j]).max(),
-            ) <= 1e-9
-
-    def test_ajd_rotate(self):
-        rng = np.random.default_rng(3)
-        n, K = 5, 4
-        M = np.empty((K, n, n))
-        for i in range(K):
-            D = np.diag(rng.uniform(0.5, 3.0, size=n))
-            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            M[i] = Q @ D @ Q.T if i else D  # one exactly diagonal member
-        w = np.ones(K)
-        M_nb, M_np = M.copy(), M.copy()
-        Q_nb, sw_nb, conv_nb = k.ajd_rotate_nb(M_nb, w, 64, 1e-12)
-        Q_np, sw_np, conv_np = k.ajd_rotate_np(M_np, w, 64, 1e-12)
-        assert conv_nb == conv_np == 1
-        assert np.allclose(Q_nb, Q_np, rtol=1e-9, atol=1e-12)
-        assert np.allclose(M_nb, M_np, rtol=1e-9, atol=1e-10)
-
-    def test_ad_sliding(self):
-        rng = np.random.default_rng(4)
-        x = np.ascontiguousarray(rng.normal(size=400))
-        a = k.ad_sliding_nb(x, 32, 0.1, 1.1, 1e-12)
-        b = k.ad_sliding_np(x, 32, 0.1, 1.1, 1e-12)
-        assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
-
-    def test_easi_scan(self):
-        rng = np.random.default_rng(5)
-        xt = np.ascontiguousarray(rng.uniform(-1, 1, size=(500, 3)))
-        for nl in (0, 1):
-            v_nb, W_nb, s_nb, w_nb = k.easi_scan_nb(xt, 0.005, nl, 1e6)
-            v_np, W_np, s_np, w_np = k.easi_scan_np(xt, 0.005, nl, 1e6)
-            assert s_nb == s_np == 0
-            assert np.allclose(v_nb, v_np, rtol=1e-9, atol=1e-12)
-            assert np.allclose(W_nb, W_np, rtol=1e-9, atol=1e-12)
-
-    def test_kalman_scan(self):
-        rng = np.random.default_rng(6)
-        T = 300
-        zt = np.ascontiguousarray(np.cumsum(rng.normal(size=(T, 2)), axis=0))
-        F = np.ascontiguousarray(0.95 * np.eye(2))
-        H = np.ascontiguousarray(np.eye(2))
-        Q = np.ascontiguousarray(0.1 * np.eye(2))
-        R = np.ascontiguousarray(np.eye(2))
-        x0 = np.zeros(2)
-        P0 = np.ascontiguousarray(np.eye(2))
-        e_nb, s_nb, w_nb = k.kalman_scan_nb(zt, F, H, Q, R, x0, P0)
-        e_np, s_np, w_np = k.kalman_scan_np(zt, F, H, Q, R, x0, P0)
-        assert s_nb == s_np == 0
-        assert np.allclose(e_nb, e_np, rtol=1e-9, atol=1e-12)
-
-    def test_ar_sliding(self):
-        rng = np.random.default_rng(7)
-        x = np.zeros(800)
-        for i in range(1, x.size):
-            x[i] = 0.7 * x[i - 1] + rng.normal()
-        x = np.ascontiguousarray(x)
-        c_nb, ok_nb = k.ar_sliding_nb(x, 64, 3, 1e-300)
-        c_np, ok_np = k.ar_sliding_np(x, 64, 3, 1e-300)
-        assert np.array_equal(ok_nb, ok_np)
-        assert np.allclose(c_nb, c_np, rtol=1e-9, atol=1e-12)
+def ar2_series(T, seed):
+    rng = np.random.default_rng(seed)
+    x = np.zeros(T)
+    for k in range(2, T):
+        x[k] = 1.2 * x[k - 1] - 0.5 * x[k - 2] + rng.normal()
+    return x + 3.0  # a nonzero mean, which every window must remove
 
 
-def test_env_flag_forces_fallback():
-    """NSCA_NO_NUMBA=1 must alias the public kernels to the numpy paths."""
-    code = (
-        "from nsca import _kernels as k;"
-        "assert not k.HAVE_NUMBA;"
-        "assert k.cholesky is k.cholesky_np;"
-        "assert k.ajd_rotate is k.ajd_rotate_np;"
-        "print('fallback-ok')"
-    )
-    env = dict(os.environ, NSCA_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert "fallback-ok" in out.stdout
+def window_yule_walker(win, q):
+    c = win - win.mean()
+    r = np.array([c[j:] @ c[: c.size - j] for j in range(q + 1)]) / c.size
+    return solve_toeplitz(r[:q], r[1:])
 
 
-def test_fallback_pipeline_matches_active_path():
-    """A small end-to-end separation must not depend on the kernel path."""
-    script = (
-        "import numpy as np\n"
-        "from nsca.synthetic import gen_mixture\n"
-        "from nsca.separation import nsca_two_class\n"
-        "rec, truth = gen_mixture(3, 4000, dict(count=1, min_len=400, max_len=500, amplitude=4.0), seed=13)\n"
-        "res = nsca_two_class(rec, truth.burst_mask)\n"
-        "print('%.12e' % abs(res.demixer).sum())\n"
-    )
-    runs = {}
-    for flag in ("0", "1"):
-        env = dict(os.environ, NSCA_NO_NUMBA=flag)
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        runs[flag] = float(out.stdout.strip())
-    assert runs["0"] == pytest.approx(runs["1"], rel=1e-9)
+def window_ad(win, mu, sigma, fmin):
+    z = np.sort(win)
+    p = z.size
+    F = [min(max(0.5 * math.erfc(-(v - mu) / (sigma * math.sqrt(2.0))), fmin), 1.0 - fmin) for v in z]
+    acc = sum((2 * i - 1) * (math.log(F[i - 1]) + math.log(1.0 - F[p - i])) for i in range(1, p + 1))
+    return -p - acc / p
+
+
+class TestArSliding:
+    @pytest.mark.parametrize("w,q", [(64, 2), (200, 5)])
+    def test_windows_match_toeplitz_solve(self, w, q):
+        x = ar2_series(1500, seed=w)
+        coef, ok = _kernels.ar_sliding(x, w, q, 1e-300)
+        assert not ok[: w - 1].any() and not coef[: w - 1].any()
+        for k in (w - 1, 700, x.size - 1):
+            assert ok[k]
+            ref = window_yule_walker(x[k - w + 1 : k + 1], q)
+            np.testing.assert_allclose(coef[k], ref, rtol=1e-8, atol=1e-10)
+
+
+class TestAdSliding:
+    @pytest.mark.parametrize("p", [8, 64])
+    def test_windows_match_direct_sum(self, p):
+        x = np.random.default_rng(p).normal(size=600)
+        x[300] = 40.0  # far tail: its CDF value clamps to 1 - fmin
+        mu, sigma, fmin = 0.1, 1.1, 1e-12
+        out = _kernels.ad_sliding(x, p, mu, sigma, fmin)
+        assert not out[: p - 1].any()
+        for k in (p - 1, 300, 300 + p - 1, x.size - 1):
+            ref = window_ad(x[k - p + 1 : k + 1], mu, sigma, fmin)
+            assert out[k] == pytest.approx(ref, rel=1e-10, abs=1e-12)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nsca.errors import NoConvergence, NotPositiveDefinite, ShapeMismatch
@@ -267,3 +269,71 @@ class TestAmariIndex:
         rng = np.random.default_rng(51)
         G = rng.standard_normal((4, 4))
         assert amari_index(G) > 0.05
+
+
+# ---------------------------------------------------------------------------
+# properties over generated inputs
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def spd_with_condition(rng, n, cond):
+    """SPD matrix with eigenvalues log-spaced from 1 to ``cond``."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q @ np.diag(np.geomspace(1.0, cond, n)[rng.permutation(n)]) @ Q.T
+
+
+@PROPERTY
+@given(seeds, st.integers(2, 8), st.floats(1.0, 1e4), st.floats(1e-3, 1e3))
+def test_gevd_whitens_b_and_diagonalizes_a(seed, n, cond, scale):
+    rng = np.random.default_rng(seed)
+    A = scale * rng.standard_normal((n, n))
+    A = 0.5 * (A + A.T)
+    B = scale * spd_with_condition(rng, n, cond)
+    W = gevd(A, B).vectors
+    assert_allclose(W.T @ B @ W, np.eye(n), rtol=0, atol=1e-12 * cond)
+    D = W.T @ A @ W
+    off = D - np.diag(np.diag(D))
+    bound = 1e-12 * cond * np.linalg.norm(A, 2) * np.linalg.norm(W, 2) ** 2
+    assert np.abs(off).max() <= bound
+
+
+@PROPERTY
+@given(seeds, st.data())
+def test_cholesky_reports_the_first_bad_pivot(seed, data):
+    # the leading k x k block is SPD; the (k+1)-th pivot is set to c <= 0,
+    # so the (k+1)-th leading minor is det(block) * c and not positive
+    n = data.draw(st.integers(1, 8), label="n")
+    k = data.draw(st.integers(0, n - 1), label="k")
+    c = data.draw(st.floats(-10.0, 0.0), label="c")
+    rng = np.random.default_rng(seed)
+    L = np.tril(rng.uniform(-1.0, 1.0, size=(n, n)), -1) + np.diag(rng.uniform(0.5, 2.0, n))
+    S = L @ L.T
+    S = 0.5 * (S + S.T)
+    S[k, k] = L[k, :k] @ L[k, :k] + c
+    assert np.linalg.eigvalsh(S[:k, :k]).min(initial=np.inf) > 0
+    with pytest.raises(NotPositiveDefinite) as ei:
+        cholesky(S)
+    assert ei.value.pivot == k
+
+
+@PROPERTY
+@given(seeds, st.integers(2, 6), st.integers(2, 5))
+def test_ajd_recovers_a_congruence_constructed_set(seed, n, K):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    assume(np.linalg.cond(M) < 1e3)
+    diags = 0.5 + 4.0 * rng.random((K, n))
+    # components whose diagonal profiles over the set nearly coincide are
+    # not identifiable; require every pair to differ
+    unit = diags / np.linalg.norm(diags, axis=0)
+    gaps = [np.linalg.norm(unit[:, p] - unit[:, q]) for p in range(n) for q in range(p)]
+    assume(min(gaps) > 0.05)
+    mats = [M.T @ np.diag(d) @ M for d in diags]
+    weights = rng.random(K) + 0.1
+    W, res = ajd(mats, weights=weights)
+    scale = max(np.abs(m).max() for m in mats)
+    assert res <= 1e-8 * scale**2
+    assert amari_index(M @ W) < 1e-6
