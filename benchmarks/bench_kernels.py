@@ -23,6 +23,7 @@ import numpy as np
 from nsca import _kernels as K
 from nsca.cli import CLI_EASI_STEP
 from nsca.detectors import fit_ar1_state_space, prewhiten
+from nsca.errors import BadSpec
 from nsca.synthetic import DEFAULT_BURST, default_source_specs, gen_mixture
 
 
@@ -106,15 +107,21 @@ def build_cases(T):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--t", type=int, default=20_000, help="series length for the scans")
+    ap.add_argument("--t", type=int, default=20_000,
+                    help="series length for the scans; it must fit the generator's default "
+                         "bursts (3 windows of 600-900 samples, so T >= 2700 always does)")
     ap.add_argument("--repeats", type=int, default=5, help="best-of repeats per kernel")
     args = ap.parse_args()
+    try:
+        cases = build_cases(args.t)
+    except BadSpec as err:
+        ap.error(f"--t {args.t}: {err}")
 
     header = f"{'kernel':<30}{'ms':>12}"
     print(header)
     print("-" * len(header))
     failures = []
-    for label, base, call, check in build_cases(args.t):
+    for label, base, call, check in cases:
         f = getattr(K, base)
         problem = check(call(f))
         if problem:

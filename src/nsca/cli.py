@@ -107,9 +107,13 @@ def _out_path(args, name):
     return os.path.join(args.out_dir, name)
 
 
-def _downsample(length):
-    step = max(1, length // PLOT_POINTS)
-    return np.arange(0, length, step)
+def _write_plot(args, name, labels, series):
+    """About PLOT_POINTS evenly spaced samples of each series, as k,<labels> rows."""
+    length = len(series[0])
+    ks = np.arange(0, length, max(1, length // PLOT_POINTS))
+    table = np.column_stack([ks] + [s[ks] for s in series])
+    io._write_table(_out_path(args, name), ",".join(["k", *labels]), table,
+                    "%d" + ",%.6g" * len(series))
 
 
 def _fmt_diag(value):
@@ -188,7 +192,6 @@ def cmd_detect(args):
     for name in names:
         idx = _run_detector(name, record, args)
         results.append((name, idx, normalize_index(idx)))
-    overlays = {}
     for name, idx, norm in results:
         io.write_index(_out_path(args, f"{name}.csv"), idx)
         io.write_index(_out_path(args, f"{name}_norm.csv"), norm)
@@ -197,17 +200,11 @@ def cmd_detect(args):
         print(
             f"{name} max={valid.max():.6g} argmax={argmax} valid_from={idx.valid_from}"
         )
-        overlays[name] = norm.values
     if args.emit_plot_data:
-        ks = _downsample(record.length)
         ref = record.channel(args.ref_channel)
         scale = np.abs(ref).max() or 1.0
-        with open(_out_path(args, "plot_indexes.csv"), "w", encoding="ascii") as fh:
-            fh.write("k,reference," + ",".join(names) + "\n")
-            for k in ks:
-                row = [str(k), "%.6g" % (ref[k] / scale)]
-                row += ["%.6g" % overlays[name][k] for name in names]
-                fh.write(",".join(row) + "\n")
+        _write_plot(args, "plot_indexes.csv", ["reference", *names],
+                    [ref / scale] + [norm.values for _, _, norm in results])
     return 0
 
 
@@ -275,13 +272,8 @@ def cmd_separate(args):
         fh.write(f"class_component_map: {cmap.best_component.tolist()}\n")
         fh.write(f"one_to_one: {cmap.one_to_one}\n")
     if args.emit_plot_data:
-        ks = _downsample(record.length)
-        names = result.sources.channel_names
-        with open(_out_path(args, "plot_sources.csv"), "w", encoding="ascii") as fh:
-            fh.write("k," + ",".join(names) + "\n")
-            for k in ks:
-                row = [str(k)] + ["%.6g" % v for v in result.sources.samples[:, k]]
-                fh.write(",".join(row) + "\n")
+        _write_plot(args, "plot_sources.csv", result.sources.channel_names,
+                    result.sources.samples)
     kind = "two-round" if part is None else f"{part.K}-class"
     print(f"separated ({kind}); order={result.order}")
     return 0

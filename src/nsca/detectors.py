@@ -36,7 +36,7 @@ from .errors import (
     NotPositiveDefinite,
     ShapeMismatch,
 )
-from .linalg import SymMatrix, cholesky, sym_eig
+from .linalg import SymMatrix, as_sym, cholesky, sym_eig
 from .records import IndexSeries, Record
 
 __all__ = [
@@ -386,9 +386,9 @@ class StateSpaceModel:
         if H.ndim != 2 or H.shape[1] != s:
             raise ModelMismatch("observation must be (obs_dim, state_dim)")
         m = H.shape[0]
-        Q = self.process_noise_cov if isinstance(self.process_noise_cov, SymMatrix) else SymMatrix(self.process_noise_cov)
-        R = self.obs_noise_cov if isinstance(self.obs_noise_cov, SymMatrix) else SymMatrix(self.obs_noise_cov)
-        P0 = self.init_cov if isinstance(self.init_cov, SymMatrix) else SymMatrix(self.init_cov)
+        Q = as_sym(self.process_noise_cov)
+        R = as_sym(self.obs_noise_cov)
+        P0 = as_sym(self.init_cov)
         if Q.dim != s or P0.dim != s:
             raise ModelMismatch("process_noise_cov and init_cov must match state_dim")
         if R.dim != m:

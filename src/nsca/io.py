@@ -4,6 +4,10 @@ All files are plain comma-separated text. Numbers are written with 17
 significant digits so doubles survive a round trip bit-exactly. Readers
 reject non-finite cells and report 1-based line numbers in errors.
 
+Each format is a table of numbers under an optional header, read and
+written by one pair of functions: a cell is any finite value Python's
+``float`` accepts, and every row has as many cells as the first line.
+
 Formats:
 
 * record    -- header ``ch1,...,chn``; one row per sample, one column per
@@ -14,6 +18,9 @@ Formats:
 * matrix    -- no header; one row per matrix row.
 * spectra   -- header ``class,component,value``; one row per entry.
 """
+
+import itertools
+import math
 
 import numpy as np
 
@@ -35,164 +42,161 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
+_BLOCK_ROWS = 4096  # rows formatted per write; bounds the writer's temporaries
 
 
-def _fmt_row(values):
-    return ",".join(_FMT % v for v in values)
+def _write_table(path, header, table, fmt):
+    """Write ``header`` (None for none), then one ``fmt % row`` line per row."""
+    line = fmt + "\n"
+    with open(path, "w", encoding="ascii") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _read_lines(path):
+def _parse(lines, width):
+    """All cells of ``lines`` -> (rows, width) array; ValueError on a bad cell."""
+    cells = itertools.chain.from_iterable(map(str.split, lines, itertools.repeat(",")))
+    return np.fromiter(map(float, cells), np.float64, len(lines) * width).reshape(-1, width)
+
+
+def _first_bad_cell(path, lines, first, width):
+    """(row, error) for the first ragged line or bad cell; line ``first`` is row 0."""
+    for row, text in enumerate(lines):
+        i = first + row
+        cells = text.split(",")
+        if len(cells) != width:
+            return row, MalformedInput(
+                f"{path}: expected {width} columns, got {len(cells)} on line {i}", line=i
+            )
+        for cell in cells:
+            try:
+                v = float(cell)
+            except ValueError:
+                return row, MalformedInput(f"{path}: bad number {cell!r} on line {i}", line=i)
+            if not math.isfinite(v):
+                return row, MalformedInput(f"{path}: non-finite value on line {i}", line=i)
+    raise AssertionError("no bad cell in a table that failed to parse")
+
+
+def _read_table(path, header, checks=()):
+    """Parse a CSV table -> (header cells, rows x columns float64 array).
+
+    ``header`` is the header line a format requires, True for any header of
+    nonempty column names, or None for a file without one. Each check is a
+    ``(message, flag_rows)`` pair; ``flag_rows(table)`` marks the rows that
+    break a rule of the format. The table is parsed in one pass; only when
+    that fails is it scanned line by line to locate the bad cell.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        return fh.read().splitlines()
-
-
-def _parse_float(cell, lineno, path):
+        lines = fh.read().splitlines()
+    if isinstance(header, str):
+        if not lines or lines[0].strip() != header:
+            raise MalformedInput(f"{path}: expected {header!r} header", line=1)
+    elif not lines:
+        raise MalformedInput(f"{path}: empty file", line=1)
+    names = [c.strip() for c in lines[0].split(",")]
+    if header is True and not all(names):
+        raise MalformedInput(f"{path}: malformed header", line=1)
+    first = 1 if header is None else 2  # line number of the first data row
+    body = lines[first - 1:]
+    if not body:
+        raise MalformedInput(f"{path}: no data rows", line=1)
+    width = len(names)
+    stop, err = len(body), None  # the rows before `stop` are well-formed
     try:
-        v = float(cell)
-    except ValueError as err:
-        raise MalformedInput(f"{path}: bad number {cell!r} on line {lineno}", line=lineno) from err
-    if not np.isfinite(v):
-        raise MalformedInput(f"{path}: non-finite value on line {lineno}", line=lineno)
-    return v
+        if set(map(str.count, body, itertools.repeat(","))) != {width - 1}:
+            raise ValueError("ragged")
+        table = _parse(body, width)
+        if not np.isfinite(table).all():
+            raise ValueError("non-finite")
+    except ValueError:
+        stop, err = _first_bad_cell(path, body, first, width)
+        table = _parse(body[:stop], width)
+    for message, flag_rows in checks:
+        bad = np.flatnonzero(flag_rows(table))
+        if bad.size and bad[0] < stop:
+            stop = int(bad[0])
+            err = MalformedInput(f"{path}: {message} (line {first + stop})", line=first + stop)
+    if err is not None:
+        raise err
+    return names, table
+
+
+def _not_index(cols):
+    """Rows with a fractional or negative cell."""
+    return ((cols != np.trunc(cols)) | (cols < 0)).any(axis=1)
+
+
+def _repeats(keys):
+    """Rows equal to an earlier row (``+ 0.0`` makes -0 equal 0)."""
+    out = np.ones(len(keys), dtype=bool)
+    out[np.unique(keys + 0.0, axis=0, return_index=True)[1]] = False
+    return out
+
+
+_K_RUNS = ("sample numbers must run 0,1,...", lambda t: t[:, 0] != np.arange(len(t)))
 
 
 def write_record(path, record):
     """Record -> CSV, samples as rows so channels line up with the header."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(record.channel_names) + "\n")
-        for row in record.samples.T:
-            fh.write(_fmt_row(row) + "\n")
+    fmt = ",".join([_FMT] * record.channels)
+    _write_table(path, ",".join(record.channel_names), record.samples.T, fmt)
 
 
 def read_record(path, sample_rate_hz=1.0):
-    lines = _read_lines(path)
-    if not lines:
-        raise MalformedInput(f"{path}: empty file", line=1)
-    names = [c.strip() for c in lines[0].split(",")]
-    if not names or any(not c for c in names):
-        raise MalformedInput(f"{path}: malformed header", line=1)
-    n = len(names)
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != n:
-            raise MalformedInput(
-                f"{path}: expected {n} columns, got {len(cells)} on line {i}", line=i
-            )
-        rows.append([_parse_float(c, i, path) for c in cells])
-    if not rows:
-        raise MalformedInput(f"{path}: no data rows", line=1)
-    return Record(np.array(rows).T, sample_rate_hz, names)
+    names, table = _read_table(path, True)
+    return Record(table.T, sample_rate_hz, names)
 
 
 def write_index(path, idx):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("k,value\n")
-        for k, v in enumerate(idx.values):
-            fh.write(f"{k},{_FMT % v}\n")
+    table = np.column_stack((np.arange(idx.length), idx.values))
+    _write_table(path, "k,value", table, "%d," + _FMT)
 
 
 def read_index(path, name="index"):
-    lines = _read_lines(path)
-    if not lines or lines[0].strip() != "k,value":
-        raise MalformedInput(f"{path}: expected 'k,value' header", line=1)
-    values = []
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise MalformedInput(f"{path}: expected 2 columns on line {i}", line=i)
-        k = _parse_float(cells[0], i, path)
-        if k != len(values):
-            raise MalformedInput(f"{path}: sample numbers must run 0,1,... (line {i})", line=i)
-        values.append(_parse_float(cells[1], i, path))
-    if not values:
-        raise MalformedInput(f"{path}: no data rows", line=1)
-    return IndexSeries(np.array(values), valid_from=0, name=name)
+    _, table = _read_table(path, "k,value", [_K_RUNS])
+    return IndexSeries(table[:, 1], valid_from=0, name=name)
 
 
 def write_mask(path, part):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("k,label\n")
-        for k, v in enumerate(part.labels):
-            fh.write(f"{k},{int(v)}\n")
+    _write_table(path, "k,label", np.column_stack((np.arange(part.length), part.labels)), "%d,%d")
 
 
 def read_mask(path):
-    lines = _read_lines(path)
-    if not lines or lines[0].strip() != "k,label":
-        raise MalformedInput(f"{path}: expected 'k,label' header", line=1)
-    labels = []
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise MalformedInput(f"{path}: expected 2 columns on line {i}", line=i)
-        k = _parse_float(cells[0], i, path)
-        if k != len(labels):
-            raise MalformedInput(f"{path}: sample numbers must run 0,1,... (line {i})", line=i)
-        lab = _parse_float(cells[1], i, path)
-        if lab != int(lab) or lab < 0:
-            raise MalformedInput(f"{path}: labels must be nonnegative integers (line {i})", line=i)
-        labels.append(int(lab))
-    if not labels:
-        raise MalformedInput(f"{path}: no data rows", line=1)
-    return Partition(np.array(labels, dtype=np.int64))
+    _, table = _read_table(path, "k,label", [
+        _K_RUNS,
+        ("labels must be nonnegative integers", lambda t: _not_index(t[:, 1:])),
+    ])
+    return Partition(table[:, 1].astype(np.int64))
 
 
 def write_matrix(path, mat):
     mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-    with open(path, "w", encoding="ascii") as fh:
-        for row in mat:
-            fh.write(_fmt_row(row) + "\n")
+    _write_table(path, None, mat, ",".join([_FMT] * mat.shape[1]))
 
 
 def read_matrix(path):
-    lines = _read_lines(path)
-    rows = []
-    width = None
-    for i, line in enumerate(lines, start=1):
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise MalformedInput(
-                f"{path}: expected {width} columns, got {len(cells)} on line {i}", line=i
-            )
-        rows.append([_parse_float(c, i, path) for c in cells])
-    if not rows:
-        raise MalformedInput(f"{path}: empty file", line=1)
-    return np.array(rows)
+    return _read_table(path, None)[1]
 
 
 def write_spectra(path, spectra):
     spectra = np.atleast_2d(np.asarray(spectra, dtype=np.float64))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("class,component,value\n")
-        for i, row in enumerate(spectra):
-            for j, v in enumerate(row):
-                fh.write(f"{i},{j},{_FMT % v}\n")
+    cls, comp = np.indices(spectra.shape).reshape(2, -1)
+    table = np.column_stack((cls, comp, spectra.ravel()))
+    _write_table(path, "class,component,value", table, "%d,%d," + _FMT)
 
 
 def read_spectra(path):
-    lines = _read_lines(path)
-    if not lines or lines[0].strip() != "class,component,value":
-        raise MalformedInput(f"{path}: expected 'class,component,value' header", line=1)
-    entries = {}
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise MalformedInput(f"{path}: expected 3 columns on line {i}", line=i)
-        ci = _parse_float(cells[0], i, path)
-        cj = _parse_float(cells[1], i, path)
-        if ci != int(ci) or cj != int(cj) or ci < 0 or cj < 0:
-            raise MalformedInput(f"{path}: class/component must be indexes (line {i})", line=i)
-        entries[(int(ci), int(cj))] = _parse_float(cells[2], i, path)
-    if not entries:
-        raise MalformedInput(f"{path}: no data rows", line=1)
-    K = max(k for k, _ in entries) + 1
-    n = max(j for _, j in entries) + 1
-    if len(entries) != K * n:
-        raise MalformedInput(f"{path}: missing spectra entries", line=len(lines))
+    _, table = _read_table(path, "class,component,value", [
+        ("class/component must be indexes", lambda t: _not_index(t[:, :2])),
+        ("repeated class/component entry", lambda t: _repeats(t[:, :2])),
+    ])
+    K, n = (int(m) + 1 for m in table[:, :2].max(axis=0))
+    if len(table) != K * n:
+        raise MalformedInput(f"{path}: missing spectra entries", line=len(table) + 1)
     out = np.empty((K, n))
-    for (ci, cj), v in entries.items():
-        out[ci, cj] = v
+    out[table[:, 0].astype(np.intp), table[:, 1].astype(np.intp)] = table[:, 2]
     return out

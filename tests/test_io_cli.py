@@ -1,7 +1,11 @@
 """CSV and command-line interface tests."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsca.cli import main
 from nsca.errors import MalformedInput
@@ -74,6 +78,34 @@ class TestRoundTrips:
         assert np.array_equal(read_spectra(path), S)
 
 
+class TestWrittenBytes:
+    """The writers' exact text; downstream byte-identity checks rely on it."""
+
+    def test_each_format(self, tmp_path):
+        cases = [
+            (write_record, Record(np.array([[0.1, -2.0], [1e300, 5e-324]]), 1.0, ["x", "y"]),
+             "x,y\n0.10000000000000001,1.0000000000000001e+300\n-2,4.9406564584124654e-324\n"),
+            (write_index, IndexSeries(np.array([0.5, 1 / 3]), 0, "i"),
+             "k,value\n0,0.5\n1,0.33333333333333331\n"),
+            (write_mask, Partition(np.array([0, 2, 1])), "k,label\n0,0\n1,2\n2,1\n"),
+            (write_matrix, np.array([[1.0, 0.25], [-3.0, 1e-7]]), "1,0.25\n-3,9.9999999999999995e-08\n"),
+            (write_spectra, np.array([[1.5, 2.0], [0.1, 4.0]]),
+             "class,component,value\n0,0,1.5\n0,1,2\n1,0,0.10000000000000001\n1,1,4\n"),
+        ]
+        for writer, obj, text in cases:
+            path = tmp_path / "out.csv"
+            writer(path, obj)
+            assert path.read_text() == text
+
+    def test_long_record_rows(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rec = Record(awkward_floats(rng, (3, 10_000)), 1.0, ["a", "b", "c"])
+        path = tmp_path / "rec.csv"
+        write_record(path, rec)
+        rows = ["a,b,c"] + [",".join("%.17g" % v for v in col) for col in rec.samples.T]
+        assert path.read_text() == "\n".join(rows) + "\n"
+
+
 class TestMalformedInput:
     def test_nan_cell_names_line(self, tmp_path):
         path = tmp_path / "rec.csv"
@@ -105,6 +137,183 @@ class TestMalformedInput:
         path.write_text("")
         with pytest.raises(MalformedInput):
             read_record(path)
+
+    # one file per reader and defect: (reader, file text, 1-based line of the error)
+    H_IDX, H_MASK, H_SPEC = "k,value\n", "k,label\n", "class,component,value\n"
+    CASES = {
+        "record-ragged": (read_record, "a,b\n1,2\n3\n4,5\n", 3),
+        "index-ragged": (read_index, H_IDX + "0,1\n1,2,3\n", 3),
+        "mask-ragged": (read_mask, H_MASK + "0,0\n1\n", 3),
+        "matrix-ragged": (read_matrix, "1,2\n3,4\n5\n", 3),
+        "spectra-ragged": (read_spectra, H_SPEC + "0,0,1\n0,1\n", 3),
+        "record-bad-number": (read_record, "a,b\n1,2\n3,x\n", 3),
+        "index-bad-number": (read_index, H_IDX + "0,1\n1,2\n2,1..5\n", 4),
+        "index-bad-k": (read_index, H_IDX + "0,1\nk1,2\n", 3),
+        "mask-bad-number": (read_mask, H_MASK + "0,0\n1,one\n", 3),
+        "matrix-bad-number": (read_matrix, "1,2\nabc,4\n", 2),
+        "spectra-bad-number": (read_spectra, H_SPEC + "0,0,1\n0,1,1e\n", 3),
+        "record-non-finite": (read_record, "a,b\n1,2\n3,4\ninf,5\n", 4),
+        "index-non-finite": (read_index, H_IDX + "0,nan\n", 2),
+        "mask-non-finite": (read_mask, H_MASK + "0,0\n1,inf\n", 3),
+        "matrix-non-finite": (read_matrix, "1,2\n3,-inf\n", 2),
+        "spectra-non-finite": (read_spectra, H_SPEC + "0,0,1\n0,1,nan\n", 3),
+        "record-blank-line": (read_record, "a,b\n1,2\n\n3,4\n", 3),
+        "record-1ch-blank-line": (read_record, "a\n1\n\n3\n", 3),
+        "index-blank-line": (read_index, H_IDX + "0,1\n\n1,2\n", 3),
+        "mask-blank-line": (read_mask, H_MASK + "0,1\n\n1,0\n", 3),
+        "matrix-blank-line": (read_matrix, "1,2\n\n3,4\n", 2),
+        "spectra-blank-line": (read_spectra, H_SPEC + "0,0,1\n\n0,1,2\n", 3),
+        "record-trailing-blank-line": (read_record, "a,b\n1,2\n\n", 3),
+        "record-bad-header": (read_record, "a,,c\n1,2,3\n", 1),
+        "index-bad-header": (read_index, "k,val\n0,1\n", 1),
+        "index-missing-header": (read_index, "0,1\n1,2\n", 1),
+        "mask-bad-header": (read_mask, H_IDX + "0,1\n", 1),
+        "mask-missing-header": (read_mask, "0,1\n", 1),
+        "spectra-bad-header": (read_spectra, "class,comp,value\n0,0,1\n", 1),
+        "spectra-missing-header": (read_spectra, "0,0,1\n", 1),
+        "record-header-only": (read_record, "a,b\n", 1),
+        "index-header-only": (read_index, H_IDX, 1),
+        "mask-header-only": (read_mask, H_MASK, 1),
+        "spectra-header-only": (read_spectra, H_SPEC, 1),
+        "record-empty": (read_record, "", 1),
+        "index-empty": (read_index, "", 1),
+        "mask-empty": (read_mask, "", 1),
+        "matrix-empty": (read_matrix, "", 1),
+        "spectra-empty": (read_spectra, "", 1),
+        "index-gap-in-k": (read_index, H_IDX + "0,1\n2,2\n", 3),
+        "index-k-from-1": (read_index, H_IDX + "1,1\n", 2),
+        "mask-repeated-k": (read_mask, H_MASK + "0,0\n1,1\n1,0\n", 4),
+        "mask-fractional-label": (read_mask, H_MASK + "0,0\n1,1.5\n", 3),
+        "mask-negative-label": (read_mask, H_MASK + "0,0\n1,-1\n", 3),
+        "spectra-fractional-index": (read_spectra, H_SPEC + "0,0,1\n0,0.5,2\n", 3),
+        "spectra-negative-index": (read_spectra, H_SPEC + "0,0,1\n-1,1,2\n", 3),
+        "spectra-missing-entry": (read_spectra, H_SPEC + "0,0,1\n0,1,2\n1,1,3\n", 4),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_error_line(self, tmp_path, case):
+        reader, text, line = self.CASES[case]
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        with pytest.raises(MalformedInput) as err:
+            reader(path)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("text, line", [
+        ("0,0,1\n0,0,2\n", 3),  # incomplete table
+        ("0,0,1\n0,1,2\n0,0,3\n", 4),  # complete table plus a repeat
+    ], ids=["incomplete", "complete"])
+    def test_spectra_rejects_repeated_entry(self, tmp_path, text, line):
+        path = tmp_path / "spec.csv"
+        path.write_text("class,component,value\n" + text)
+        with pytest.raises(MalformedInput) as err:
+            read_spectra(path)
+        assert err.value.line == line
+        assert f"line {line}" in str(err.value)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        # a defect found by the per-format check comes before a later bad cell
+        path = tmp_path / "mask.csv"
+        path.write_text("k,label\n0,0\n1,2.5\n2,x\n")
+        with pytest.raises(MalformedInput) as err:
+            read_mask(path)
+        assert err.value.line == 3
+
+
+READERS = {"record": read_record, "index": read_index, "mask": read_mask,
+           "matrix": read_matrix, "spectra": read_spectra}
+HEADERS = {"index": "k,value", "mask": "k,label", "spectra": "class,component,value"}
+ODD_CELLS = ["", "x", "nan", "-inf", "1e400", " 1", "1_0", "1.5", "-1", "-0", "2", "1e0", "+3",
+             "1,2", "5."]
+
+
+def loop_read(kind, text):
+    """Per-line reference reader: the parsed rows, or the 1-based line of the first error."""
+    lines = text.splitlines()
+    if kind in HEADERS and (not lines or lines[0].strip() != HEADERS[kind]):
+        return 1
+    if not lines or (kind == "record" and not all(c.strip() for c in lines[0].split(","))):
+        return 1
+    first = 1 if kind == "matrix" else 2
+    width, rows, seen = len(lines[0].split(",")), [], set()
+    for i, line in enumerate(lines[first - 1:], start=first):
+        try:
+            row = [float(c) for c in line.split(",")]
+        except ValueError:
+            return i
+        if len(row) != width or not all(map(math.isfinite, row)):
+            return i
+        if kind in ("index", "mask") and row[0] != len(rows):
+            return i
+        ints = tuple(row[1:] if kind == "mask" else row[:2] if kind == "spectra" else [])
+        if any(v != int(v) or v < 0 for v in ints) or (kind == "spectra" and ints in seen):
+            return i
+        seen.add(ints)
+        rows.append(row)
+    if not rows:
+        return 1
+    if kind == "spectra" and len(rows) != (max(r[0] for r in rows) + 1) * (max(r[1] for r in rows) + 1):
+        return len(lines)
+    return rows
+
+
+def mutated_file(rng):
+    """A small valid file of a random format with up to three random defects."""
+    kind = str(rng.choice(list(READERS)))
+    T, w = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    if kind == "spectra":
+        K, n = rng.integers(1, 4, size=2)
+        body = [f"{i},{j},{rng.random():.3f}" for i in range(K) for j in range(n)]
+        body = [body[i] for i in rng.permutation(len(body))]
+    elif kind in ("index", "mask"):
+        body = [f"{k},{rng.integers(0, 3) if kind == 'mask' else rng.random()}" for k in range(T)]
+    else:
+        body = [",".join(f"{v:.3g}" for v in rng.normal(size=w)) for _ in range(T)]
+    lines = ([] if kind == "matrix" else [HEADERS.get(kind, ",".join("abc"[:w]))]) + body
+    for _ in range(int(rng.integers(0, 4))):
+        if not lines:
+            break
+        i, j = rng.integers(len(lines), size=2)
+        op = rng.integers(6)
+        if op == 0:
+            cells = lines[i].split(",")
+            cells[rng.integers(len(cells))] = str(rng.choice(ODD_CELLS))
+            lines[i] = ",".join(cells)
+        elif op == 1:
+            del lines[i]
+        elif op == 2:
+            lines.insert(i, "")
+        elif op == 3:
+            lines.insert(i, lines[j])
+        elif op == 4:
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            del lines[i:]
+    return kind, "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.filterwarnings("ignore:record has more channels than samples")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_readers_match_the_per_line_reference(tmp_path_factory, seed):
+    kind, text = mutated_file(np.random.default_rng(seed))
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    path.write_text(text)
+    expected = loop_read(kind, text)
+    if isinstance(expected, int):
+        with pytest.raises(MalformedInput) as err:
+            READERS[kind](path)
+        assert err.value.line == expected
+        return
+    rows = np.array(expected)
+    got = READERS[kind](path)
+    if kind == "spectra":
+        assert got.shape == (rows[:, 0].max() + 1, rows[:, 1].max() + 1)
+        assert np.array_equal(got[rows[:, 0].astype(int), rows[:, 1].astype(int)], rows[:, 2])
+    elif kind in ("index", "mask"):
+        assert np.array_equal(got.values if kind == "index" else got.labels, rows[:, 1])
+    else:
+        assert np.array_equal(got.samples.T if kind == "record" else got, rows)
 
 
 def run(args):
@@ -202,7 +411,27 @@ class TestCliDetect:
                     "--detectors", "envelope", "--envelope-window", 151,
                     "--emit-plot-data", "--out-dir", tmp_path])
         assert code == 0
-        assert (tmp_path / "plot_indexes.csv").exists()
+        lines = (tmp_path / "plot_indexes.csv").read_text().splitlines()
+        assert lines[0] == "k,reference,envelope"
+        rec = read_record(synth_dir / "record.csv")
+        norm = read_index(tmp_path / "envelope_norm.csv").values
+        ref = rec.channel(0)
+        step = rec.length // 2000
+        assert len(lines) == 1 + len(range(0, rec.length, step))
+        for line, k in zip(lines[1:], range(0, rec.length, step)):
+            assert line == "%d,%.6g,%.6g" % (k, ref[k] / np.abs(ref).max(), norm[k])
+
+    def test_plot_sources_emitted(self, synth_dir, tmp_path):
+        code = run(["separate", "--record", synth_dir / "record.csv",
+                    "--mask", synth_dir / "mask.csv", "--emit-plot-data", "--out-dir", tmp_path])
+        assert code == 0
+        lines = (tmp_path / "plot_sources.csv").read_text().splitlines()
+        est = read_record(tmp_path / "est_sources.csv")
+        assert lines[0] == "k," + ",".join(est.channel_names)
+        step = est.length // 2000
+        ks = range(0, est.length, step)
+        assert lines[1:] == [",".join([str(k)] + ["%.6g" % v for v in est.samples[:, k]])
+                             for k in ks]
 
 
 class TestCliSeparate:
