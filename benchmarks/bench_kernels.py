@@ -7,9 +7,10 @@ best-of-N time per kernel after one untimed run.
 Every case checks the status or convergence flag its kernel returns: the
 scans must run all T steps and the iterative solvers must converge, so no row
 times an early exit. The script exits non-zero if any case fails that check.
-The EASI case runs on a prewhitened generator record at the CLI step (1e-4);
-the Kalman cases run a unit-noise model and a `fit_ar1_state_space` model of
-a generator record, where the scan switches to the steady-state gain.
+The EASI cases run the cubic and the tanh nonlinearity on a prewhitened
+generator record at the CLI step (1e-4); the Kalman cases run a unit-noise
+model and a `fit_ar1_state_space` model of a generator record, where the scan
+switches to the steady-state gain.
 
 Usage: python3 benchmarks/bench_kernels.py [--t 20000] [--repeats 5]
 """
@@ -98,7 +99,8 @@ def build_cases(T):
         ("jacobi_eig 8x8", "jacobi_eig", lambda f: f(S, 100, 1e-12), ok_converged),
         ("ajd_rotate K=6 n=8", "ajd_rotate", lambda f: f(M.copy(), weights, 200, 1e-10), ok_converged),
         (f"ad_sliding T={T} p=64", "ad_sliding", lambda f: f(x, 64, 0.0, 1.0, 1e-12), ok_finite),
-        (f"easi_scan T={T} n={m}", "easi_scan", lambda f: f(white, CLI_EASI_STEP, 0, 1e6), ok_status),
+        (f"easi_scan cubic T={T} n={m}", "easi_scan", lambda f: f(white, CLI_EASI_STEP, 0, 1e6), ok_status),
+        (f"easi_scan tanh T={T} n={m}", "easi_scan", lambda f: f(white, CLI_EASI_STEP, 1, 1e6), ok_status),
         (f"kalman_scan T={T} n={m}", "kalman_scan", lambda f: f(xt, F, H, Qm, Rm, x0, P0), ok_status),
         (f"kalman_scan fit T={T} n={m}", "kalman_scan", lambda f: f(*fit_args), ok_status),
         (f"ar_sliding T={T} w=512 q=4", "ar_sliding", lambda f: f(x, 512, 4, 1e-300), ok_windows),

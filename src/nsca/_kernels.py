@@ -163,25 +163,63 @@ def ad_sliding(x, p, mu, sigma, fmin):
 # ---------------------------------------------------------------------------
 # EASI adaptive separation: per-sample relative-gradient update
 # ---------------------------------------------------------------------------
+#
+# Each step is W <- W - lam H W with y = W x_k and
+# H = y y^T - I + g(y) y^T - y g(y)^T. With M = [y; g] (2 x n) and
+# E = [[1, -1], [1, 0]], H = M^T E M - I, so the step is the rank-2 update
+# W <- ((1 + lam) I - lam M^T E M) W: one n x n product. Its matrix is formed
+# by one product too, [M^T | I] @ [-lam E M; (1 + lam) I], from a per-step
+# buffer whose rows are y, g and then the identity. Neither the index
+# ||H||_F nor the cap check feeds back into the recursion, so both run
+# vectorized once per block of _EASI_BLOCK steps, over the stored y, g and W.
+# The index forms H entry by entry, as a per-step loop would: the closed form
+# (|y|^2 - 1)^2 + n - 1 + 2(|g|^2 |y|^2 - (g.y)^2) cancels badly when one
+# channel of y dominates (1e-6 relative at y = (1e3, 1e-3, 2e-3)).
+
+_EASI_BLOCK = 256
+
 
 def easi_scan(xt, lam, nonlin, cap):
     # xt is (T, n) so each step reads a contiguous row. nonlin: 0 cubic, 1 tanh.
     # Returns (index, W, status, where); status 1 means the recursion left
-    # [-cap, cap] (or went non-finite) at step `where`.
+    # [-cap, cap] (or went non-finite) at step `where`; the index is zero
+    # after it and W is the weights that step produced.
     T, n = xt.shape
-    W = np.eye(n)
     eye = np.eye(n)
+    W = eye
     idx = np.zeros(T)
-    for k in range(T):
-        y = W @ xt[k]
-        g = y ** 3 if nonlin == 0 else np.tanh(y)
-        H = np.outer(y, y) - eye + np.outer(g, y) - np.outer(y, g)
-        idx[k] = np.sqrt(np.sum(H * H))
-        W = W - lam * (H @ W)
-        bad = np.max(np.abs(W))
-        if not (bad <= cap):
-            return idx, W, 1, k
-    return idx, W, 0, -1
+    minus_lam_E = np.array([[-lam, lam], [-lam, 0.0]])
+    L = np.empty((_EASI_BLOCK, n + 2, n))  # per step: y, g, then I
+    L[:, 2:] = eye
+    R = np.empty((n + 2, n))  # -lam E M, then (1 + lam) I
+    R[2:] = (1.0 + lam) * eye
+    EM = R[:2]
+    A = np.empty((n, n))
+    Ws = np.empty((_EASI_BLOCK, n, n))
+    steps = [(Lj[0], Lj[1], Lj[:2], Lj.T, Wj) for Lj, Wj in zip(L, Ws)]
+    for a in range(0, T, _EASI_BLOCK):
+        nb = min(_EASI_BLOCK, T - a)
+        # the steps after a divergence in this block may overflow; they are
+        # discarded below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (y, g, M, LT, Wj), x in zip(steps, xt[a:a + nb]):
+                np.matmul(W, x, out=y)
+                if nonlin == 0:
+                    np.power(y, 3, out=g)
+                else:
+                    np.tanh(y, out=g)
+                np.matmul(minus_lam_E, M, out=EM)
+                np.matmul(LT, R, out=A)
+                W = np.matmul(A, W, out=Wj)
+        bad = np.flatnonzero(~(np.abs(Ws[:nb]).max(axis=(1, 2)) <= cap))
+        stop = bad[0] + 1 if bad.size else nb
+        Y, G = L[:stop, 0, :, None], L[:stop, 1, :, None]
+        Yt, Gt = Y.transpose(0, 2, 1), G.transpose(0, 2, 1)
+        H = Y * Yt - eye + G * Yt - Y * Gt
+        idx[a:a + stop] = np.sqrt(np.sum(H * H, axis=(1, 2)))
+        if bad.size:
+            return idx, Ws[stop - 1].copy(), 1, a + stop - 1
+    return idx, W.copy(), 0, -1
 
 
 # ---------------------------------------------------------------------------

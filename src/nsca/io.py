@@ -1,8 +1,9 @@
 """CSV serialization for records, indexes, masks, matrices and spectra.
 
-All files are plain comma-separated text. Numbers are written with 17
+All files are plain comma-separated ASCII text. Numbers are written with 17
 significant digits so doubles survive a round trip bit-exactly. Readers
-reject non-finite cells and report 1-based line numbers in errors.
+reject non-ASCII bytes and non-finite cells and report 1-based line numbers
+in errors.
 
 Each format is a table of numbers under an optional header, read and
 written by one pair of functions: a cell is any finite value Python's
@@ -14,7 +15,7 @@ Formats:
                channel.
 * index     -- header ``k,value``; the warm-up convention (``valid_from``)
                is not stored, a reread series starts at 0.
-* mask      -- header ``k,label`` with integer labels.
+* mask      -- header ``k,label`` with integer labels below max(2, rows).
 * matrix    -- no header; one row per matrix row.
 * spectra   -- header ``class,component,value``; one row per entry.
 """
@@ -81,17 +82,31 @@ def _first_bad_cell(path, lines, first, width):
     raise AssertionError("no bad cell in a table that failed to parse")
 
 
+def _non_ascii(path):
+    """MalformedInput at the line of the first non-ASCII byte of ``path``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    start = np.flatnonzero(np.frombuffer(raw, np.uint8) > 127)[0]
+    # the lines of the text before the byte, the byte's own line included
+    i = len((raw[:start].decode("ascii") + "?").splitlines())
+    return MalformedInput(f"{path}: non-ASCII byte on line {i}", line=i)
+
+
 def _read_table(path, header, checks=()):
     """Parse a CSV table -> (header cells, rows x columns float64 array).
 
     ``header`` is the header line a format requires, True for any header of
     nonempty column names, or None for a file without one. Each check is a
     ``(message, flag_rows)`` pair; ``flag_rows(table)`` marks the rows that
-    break a rule of the format. The table is parsed in one pass; only when
-    that fails is it scanned line by line to locate the bad cell.
+    break a rule of the format. The table has one row per data line. It is
+    parsed in one pass; only when that fails is it scanned line by line to
+    locate the bad cell, and the checks then see NaN from that line on.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise _non_ascii(path) from None
     if isinstance(header, str):
         if not lines or lines[0].strip() != header:
             raise MalformedInput(f"{path}: expected {header!r} header", line=1)
@@ -114,7 +129,8 @@ def _read_table(path, header, checks=()):
             raise ValueError("non-finite")
     except ValueError:
         stop, err = _first_bad_cell(path, body, first, width)
-        table = _parse(body[:stop], width)
+        table = np.full((len(body), width), np.nan)  # rows from `stop` on are unknown
+        table[:stop] = _parse(body[:stop], width)
     for message, flag_rows in checks:
         bad = np.flatnonzero(flag_rows(table))
         if bad.size and bad[0] < stop:
@@ -166,9 +182,13 @@ def write_mask(path, part):
 
 
 def read_mask(path):
+    # Partition sizes its class arrays from the largest label. A mask of
+    # `rows` samples fills at most max(2, rows) classes, so a larger label is
+    # rejected before it can allocate
     _, table = _read_table(path, "k,label", [
         _K_RUNS,
         ("labels must be nonnegative integers", lambda t: _not_index(t[:, 1:])),
+        ("labels must be below max(2, number of rows)", lambda t: t[:, 1] >= max(2, len(t))),
     ])
     return Partition(table[:, 1].astype(np.int64))
 

@@ -188,6 +188,12 @@ class TestMalformedInput:
         "spectra-fractional-index": (read_spectra, H_SPEC + "0,0,1\n0,0.5,2\n", 3),
         "spectra-negative-index": (read_spectra, H_SPEC + "0,0,1\n-1,1,2\n", 3),
         "spectra-missing-entry": (read_spectra, H_SPEC + "0,0,1\n0,1,2\n1,1,3\n", 4),
+        "mask-label-1e19": (read_mask, H_MASK + "0,0\n1,1e19\n", 3),
+        "mask-label-3e8": (read_mask, H_MASK + "0,0\n1,3e8\n", 3),
+        "mask-label-2-of-1-row": (read_mask, H_MASK + "0,2\n", 2),
+        "mask-label-3-of-3-rows": (read_mask, H_MASK + "0,0\n1,1\n2,3\n", 4),
+        # the bound counts the rows after a bad line too: label 2 of 4 rows is fine
+        "mask-label-bound-past-bad-line": (read_mask, H_MASK + "0,0\n1,2\nx,0\n3,0\n", 4),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -210,6 +216,27 @@ class TestMalformedInput:
             read_spectra(path)
         assert err.value.line == line
         assert f"line {line}" in str(err.value)
+
+    @pytest.mark.parametrize("text, K", [("0,1\n", 2), ("0,0\n1,1\n2,2\n", 3)])
+    def test_mask_label_just_below_the_bound(self, tmp_path, text, K):
+        path = tmp_path / "mask.csv"
+        path.write_text("k,label\n" + text)
+        assert read_mask(path).K == K
+
+    @pytest.mark.parametrize("reader, data, line", [
+        (read_record, b"a,b\n1,2\n3,\xc3\xa9\n", 3),
+        (read_index, b"k,value\n0,1\n1,2\xff\n", 3),
+        (read_mask, b"k,label\r\xa00,0\r", 2),
+        (read_matrix, b"1,2\r\n3,4\r\n5,\xe9\r\n", 3),
+        (read_spectra, b"class,\xc3\xa9,value\n0,0,1\n", 1),
+    ], ids=["record", "index", "mask-cr", "matrix-crlf", "spectra-header"])
+    def test_non_ascii_byte(self, tmp_path, reader, data, line):
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        with pytest.raises(MalformedInput) as err:
+            reader(path)
+        assert err.value.line == line
+        assert f"non-ASCII byte on line {line}" in str(err.value)
 
     def test_first_bad_line_wins(self, tmp_path):
         # a defect found by the per-format check comes before a later bad cell
@@ -247,6 +274,8 @@ def loop_read(kind, text):
             return i
         ints = tuple(row[1:] if kind == "mask" else row[:2] if kind == "spectra" else [])
         if any(v != int(v) or v < 0 for v in ints) or (kind == "spectra" and ints in seen):
+            return i
+        if kind == "mask" and row[1] >= max(2, len(lines) - 1):
             return i
         seen.add(ints)
         rows.append(row)
@@ -525,3 +554,17 @@ class TestCliEval:
                     "--truth-mask", synth_dir / "mask.csv"])
         assert code == 0
         assert "index_auc," in capsys.readouterr().out
+
+    def test_non_ascii_byte_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"a,b\n1,2\n3,\xc3\xa9\n")
+        assert run(["eval", "--est", path, "--truth", path]) == 3
+        assert "non-ASCII byte on line 3" in capsys.readouterr().err
+
+    def test_huge_mask_label_exits_3(self, synth_dir, tmp_path, capsys):
+        mask = tmp_path / "m.csv"
+        mask.write_text("k,label\n0,0\n1,1e19\n")
+        code = run(["eval", "--est", synth_dir / "sources.csv", "--truth", synth_dir / "sources.csv",
+                    "--est-mask", mask, "--truth-mask", mask])
+        assert code == 3
+        assert "(line 3)" in capsys.readouterr().err

@@ -1,18 +1,27 @@
-"""The vectorized sliding kernels against per-window references.
+"""The vectorized kernels against step-by-step references.
 
 ``ar_sliding`` and ``ad_sliding`` compute every window at once from running
 sums and a strided view. Here a few windows are recomputed one at a time, by
 a Toeplitz solve of the window's autocovariances and by the direct
-Anderson-Darling sum over the sorted window.
+Anderson-Darling sum over the sorted window. ``easi_scan`` runs a fused
+rank-2 step and checks its index and cap once per block; ``easi_reference``
+is the per-step loop it replaced.
 """
 
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_toeplitz
 
 from nsca import _kernels
+from nsca.cli import CLI_EASI_STEP
+from nsca.detectors import EASI_DIVERGENCE_CAP, prewhiten
+from nsca.synthetic import DEFAULT_BURST, default_source_specs, gen_mixture
 
 
 def ar2_series(T, seed):
@@ -60,3 +69,98 @@ class TestAdSliding:
         for k in (p - 1, 300, 300 + p - 1, x.size - 1):
             ref = window_ad(x[k - p + 1 : k + 1], mu, sigma, fmin)
             assert out[k] == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+def easi_reference(xt, lam, nonlin, cap):
+    # Reference for _kernels.easi_scan: H formed from three outer products,
+    # and the index and the cap check taken at every step.
+    T, n = xt.shape
+    W = np.eye(n)
+    eye = np.eye(n)
+    idx = np.zeros(T)
+    for k in range(T):
+        y = W @ xt[k]
+        g = y ** 3 if nonlin == 0 else np.tanh(y)
+        H = np.outer(y, y) - eye + np.outer(g, y) - np.outer(y, g)
+        idx[k] = np.sqrt(np.sum(H * H))
+        W = W - lam * (H @ W)
+        bad = np.max(np.abs(W))
+        if not (bad <= cap):
+            return idx, W, 1, k
+    return idx, W, 0, -1
+
+
+BLOCK = _kernels._EASI_BLOCK
+
+
+@functools.lru_cache(maxsize=None)
+def generator_input(n, T=3000):
+    # a prewhitened generator record, as the CLI feeds the scan
+    rec, _ = gen_mixture(n, T, DEFAULT_BURST, default_source_specs(n), seed=100 + n)
+    return np.ascontiguousarray(prewhiten(rec).samples.T)
+
+
+def broken_at(xt, k, kind, nonlin):
+    # A copy whose sample k sends W out of the cap at step k: a NaN, or a
+    # spike. The spike's channels differ in magnitude, so H has no entry that
+    # cancels to near zero. The cubic spike is only about ten times what the
+    # cap needs, because there the fused step rounds its diagonal to about
+    # eps * |y|^2 relative against the loop's (the g_i y_i terms no longer
+    # cancel); with tanh, g stays below 1.
+    x = xt.copy()
+    if kind == "nan":
+        x[k, -1] = np.nan
+    else:
+        n = x.shape[1]
+        size = 400.0 if nonlin == 0 else 1e6
+        x[k] = size * np.linspace(0.5, 1.5, n) * (-1.0) ** np.arange(n)
+    return x
+
+
+def assert_easi_matches_reference(xt, nonlin, cap=EASI_DIVERGENCE_CAP):
+    out = _kernels.easi_scan(xt, CLI_EASI_STEP, nonlin, cap)
+    ref = easi_reference(xt, CLI_EASI_STEP, nonlin, cap)
+    assert out[2:] == ref[2:]
+    np.testing.assert_allclose(out[0], ref[0], rtol=1e-9, atol=0)
+    np.testing.assert_allclose(out[1], ref[1], rtol=1e-9, atol=0)
+    return out[2:]
+
+
+class TestEasiScan:
+    @pytest.mark.parametrize("nonlin", [0, 1], ids=["cubic", "tanh"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_generator_record_matches_reference(self, n, nonlin):
+        assert assert_easi_matches_reference(generator_input(n), nonlin) == (0, -1)
+
+    @pytest.mark.parametrize("kind", ["spike", "nan"])
+    @pytest.mark.parametrize("nonlin", [0, 1], ids=["cubic", "tanh"])
+    @pytest.mark.parametrize("k", [0, BLOCK - 1, BLOCK, 2 * BLOCK + 99],
+                             ids=["first", "block_end", "next_block", "last"])
+    def test_divergence_step_matches_reference(self, k, nonlin, kind):
+        xt = broken_at(generator_input(5)[: 2 * BLOCK + 100], k, kind, nonlin)
+        assert assert_easi_matches_reference(xt, nonlin) == (1, k)
+
+    @pytest.mark.parametrize("cap", [1.0005, 1.002, 1.004])
+    def test_first_step_over_a_tight_cap(self, cap):
+        # on this record max|W| climbs from 1 past 1.0044 by step 121, a few
+        # 1e-5 per step, so the caps are first left at steps 9, 50 and 111
+        status, where = assert_easi_matches_reference(generator_input(4)[: 2 * BLOCK + 100], 0, cap)
+        assert status == 1 and where > 0
+
+    def test_steps_after_divergence_raise_no_warning(self):
+        # W overflows to inf a few steps after the spike, and the block runs on
+        xt = broken_at(generator_input(3)[:BLOCK], 0, "spike", 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, W, status, where = _kernels.easi_scan(xt, CLI_EASI_STEP, 0, EASI_DIVERGENCE_CAP)
+        assert (status, where) == (1, 0) and np.isfinite(W).all()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data(), st.integers(2, 8), st.sampled_from([0, 1]), st.integers(1, 2 * BLOCK + 50))
+def test_easi_scan_matches_reference(data, n, nonlin, T):
+    xt = generator_input(n)[:T]
+    k = data.draw(st.sampled_from([None, 0, BLOCK - 1, BLOCK, T - 1]) | st.integers(0, T - 1))
+    if k is not None and k < T:
+        xt = broken_at(xt, k, data.draw(st.sampled_from(["spike", "nan"])), nonlin)
+    assert_easi_matches_reference(xt, nonlin)
