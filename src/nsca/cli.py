@@ -8,8 +8,9 @@ Four subcommands cover the pipeline end to end::
     nsca eval     --est run/est_sources.csv --truth run/sources.csv
 
 Every subcommand is deterministic given identical flags, inputs and seed.
-``NSCA_SEED`` overrides ``--seed`` when set. Exit codes: 0 ok, 2 usage,
-3 unreadable/malformed input, 4 numeric or model failure, 5 shape mismatch.
+``NSCA_SEED`` overrides ``--seed`` when set. Exit codes: 0 ok, 2 usage
+(a flag value out of range included), 3 unreadable/malformed input,
+4 numeric or model failure, 5 shape mismatch.
 
 The scalar detectors (distribution, envelope, cumulant, AR drift) read the
 designated reference channel; the adaptive-separation index consumes the
@@ -415,6 +416,8 @@ def main(argv=None):
         return _fail(4, str(err))
     except (ShapeMismatch, ModelMismatch) as err:
         return _fail(5, str(err))
+    except ValueError as err:  # the library's check on a parameter a flag set
+        return _fail(2, f"bad parameter: {err}")
 
 
 if __name__ == "__main__":

@@ -36,8 +36,8 @@ from .errors import (
     NotPositiveDefinite,
     ShapeMismatch,
 )
-from .linalg import SymMatrix, as_sym, cholesky, sym_eig
-from .records import IndexSeries, Record
+from .linalg import SymMatrix, _whitening_factor, as_sym, cholesky, sample_cov, sym_eig
+from .records import IndexSeries, Record, as_record
 
 __all__ = [
     "FittedCdf",
@@ -247,16 +247,11 @@ def prewhiten(record, reg_eps=0.0):
     The output has identity sample covariance, the canonical input scaling
     for :func:`easi_index` (whose update already contains the ``y y^T - I``
     whitening term, so any leftover global correlation would dominate the
-    index). ``reg_eps`` adds a relative ridge before factoring for
+    index). ``reg_eps >= 0`` adds a relative ridge before factoring for
     rank-deficient records.
     """
-    if not isinstance(record, Record):
-        record = Record(record)
-    cov = np.cov(record.samples, ddof=1)
-    cov = np.atleast_2d(cov)
-    if reg_eps:
-        cov = cov + float(reg_eps) * np.trace(cov) / cov.shape[0] * np.eye(cov.shape[0])
-    L = cholesky(SymMatrix(cov))
+    record = as_record(record)
+    L = _whitening_factor(sample_cov(record.samples)[0], reg_eps)
     return Record(_kernels.solve_lower(L, record.samples), record.sample_rate_hz)
 
 
@@ -288,8 +283,7 @@ def easi_index(record, step=DEFAULT_EASI_STEP, nonlinearity="cubic"):
     Diverged
         If any ``|W|`` entry exceeds 1e6; the failing step is reported.
     """
-    if not isinstance(record, Record):
-        record = Record(record)
+    record = as_record(record)
     if record.channels < 2:
         raise ShapeMismatch("adaptive separation needs at least 2 channels")
     if not step > 0:
@@ -442,8 +436,7 @@ def normalized_innovations(record, model):
     gain once the predicted covariance has converged to rounding, and runs the
     full filter throughout if it never does or the closed loop is unstable.
     """
-    if not isinstance(record, Record):
-        record = Record(record)
+    record = as_record(record)
     if model.obs_dim != record.channels:
         raise ModelMismatch(
             f"model observes {model.obs_dim} channels, record has {record.channels}"
@@ -473,8 +466,7 @@ def kalman_innovation_index(record, model, window=DEFAULT_WHITENESS_WINDOW):
     both energy excursions and serial structure (either one betrays a model
     mismatch) raise the index. ``valid_from = window - 1``.
     """
-    if not isinstance(record, Record):
-        record = Record(record)
+    record = as_record(record)
     w = int(window)
     if not 2 <= w <= record.length:
         raise InvalidWindow(f"window {w} outside [2, {record.length}]")
@@ -504,8 +496,7 @@ def fit_ar1_state_space(record, obs_noise_frac=1e-3):
     process noise from the fit residuals, a small diagonal observation noise
     sized by ``obs_noise_frac`` of the mean channel variance.
     """
-    if not isinstance(record, Record):
-        record = Record(record)
+    record = as_record(record)
     if record.length < record.channels + 2:
         raise ShapeMismatch("record too short to fit a transition")
     X = record.samples - record.samples.mean(axis=1, keepdims=True)
@@ -542,8 +533,7 @@ def fit_ar1_state_space(record, obs_noise_frac=1e-3):
 
 def reference_trigger_index(record, ref_channel=0, window=DEFAULT_ENVELOPE_WINDOW):
     """Energy envelope of a designated reference channel."""
-    if not isinstance(record, Record):
-        record = Record(record)
+    record = as_record(record)
     ch = int(ref_channel)
     if not 0 <= ch < record.channels:
         raise BadChannel(f"channel {ch} outside [0, {record.channels})")

@@ -8,6 +8,9 @@ package are covariance-sized (a few dozen rows at most), where cyclic Jacobi
 sweeps are accurate and fast enough, and where the numpy Cholesky and
 triangular solves cost less per call than ``scipy.linalg``, which brings its
 own OpenBLAS thread pool.
+
+The package's sample covariance (``sample_cov``), ridged whitening factor and
+``L^{-1} C L^{-T}`` congruence each have their one implementation here.
 """
 
 from dataclasses import dataclass
@@ -68,6 +71,13 @@ class SymMatrix:
 def as_sym(mat):
     """Coerce an ndarray (or SymMatrix) to SymMatrix."""
     return mat if isinstance(mat, SymMatrix) else SymMatrix(mat)
+
+
+def sample_cov(X):
+    """Unbiased covariance (a SymMatrix), means and centred copy of the rows of ``X``."""
+    mean = X.mean(axis=1)
+    centred = X - mean[:, None]
+    return SymMatrix(centred @ centred.T / (X.shape[1] - 1)), mean, centred
 
 
 @dataclass(frozen=True)
@@ -144,14 +154,27 @@ def sym_eig(mat, max_sweeps=JACOBI_MAX_SWEEPS):
 
 
 def _whitening_factor(B, reg_eps):
-    """Cholesky factor of ``B`` after optional relative ridge regularization."""
+    """Cholesky factor of ``B`` after an optional relative ridge; failures keep their pivot."""
     Bm = as_sym(B).entries
     if reg_eps < 0:
         raise ValueError("reg_eps must be nonnegative")
     if reg_eps > 0:
         n = Bm.shape[0]
         Bm = Bm + (reg_eps * np.trace(Bm) / n) * np.eye(n)
-    return cholesky(Bm)
+    try:
+        return cholesky(Bm)
+    except NotPositiveDefinite as err:
+        raise NotPositiveDefinite(
+            f"{err}; the whitener is degenerate, pass reg_eps > 0 to regularize",
+            pivot=err.pivot,
+        ) from err
+
+
+def _congruence(L, C):
+    """``L^{-1} C L^{-T}``, symmetrized."""
+    X = _kernels.solve_lower(L, np.ascontiguousarray(C))
+    M = _kernels.solve_lower(L, np.ascontiguousarray(X.T)).T
+    return 0.5 * (M + M.T)
 
 
 def gevd(A, B, order="ascending", reg_eps=0.0):
@@ -194,9 +217,7 @@ def gevd(A, B, order="ascending", reg_eps=0.0):
     if order not in ("ascending", "descending"):
         raise ValueError("order must be 'ascending' or 'descending'")
     L = _whitening_factor(Bm, reg_eps)
-    X = _kernels.solve_lower(L, np.ascontiguousarray(Am))
-    M = _kernels.solve_lower(L, np.ascontiguousarray(X.T)).T
-    pair = sym_eig(0.5 * (M + M.T))
+    pair = sym_eig(_congruence(L, Am))
     W = _kernels.solve_lower_t(L, np.ascontiguousarray(pair.vectors))
     vals = pair.values
     if order == "descending":
@@ -258,11 +279,7 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
     if whitener is None:
         whitener = SymMatrix(sum(stack) / K)
     L = _whitening_factor(whitener, reg_eps)
-    M = np.empty((K, n, n))
-    for i, C in enumerate(stack):
-        X = _kernels.solve_lower(L, np.ascontiguousarray(C))
-        Mi = _kernels.solve_lower(L, np.ascontiguousarray(X.T)).T
-        M[i] = 0.5 * (Mi + Mi.T)
+    M = np.stack([_congruence(L, C) for C in stack])
     Q, sweeps, converged = _kernels.ajd_rotate(M, w, max_sweeps, AJD_ANGLE_TOL)
     if not converged:
         raise NoConvergence(

@@ -1,13 +1,13 @@
 """Evaluation against ground truth: source correlations, mask scores, AUC."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
 
 from .errors import DegenerateTruth, ShapeMismatch
 from .partition import Partition
-from .records import IndexSeries, Record
+from .records import IndexSeries, as_record
 from .synthetic import GroundTruth
 
 __all__ = ["EvalReport", "eval_separation", "eval_mask", "eval_index_auc"]
@@ -15,7 +15,7 @@ __all__ = ["EvalReport", "eval_separation", "eval_mask", "eval_index_auc"]
 
 @dataclass
 class EvalReport:
-    """Correlation matrix, greedy assignment and optional mask/index scores.
+    """Correlation matrix and greedy assignment of estimated to true sources.
 
     ``matched[j]`` is the |correlation| the greedy assignment gave true
     source ``j``; ``pairs`` lists (estimated, true, |corr|) in pick order.
@@ -24,11 +24,6 @@ class EvalReport:
     correlations: np.ndarray  # (n_est, n_true), absolute values
     pairs: list  # of (est_index, true_index, corr)
     matched: np.ndarray  # (n_true,)
-    mask_precision: float | None = None
-    mask_recall: float | None = None
-    mask_f1: float | None = None
-    index_auc: float | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def _abs_corr_matrix(A, B):
@@ -63,8 +58,7 @@ def eval_separation(est, truth):
         On differing channel counts or lengths.
     """
     true_rec = truth.sources if isinstance(truth, GroundTruth) else truth
-    if not isinstance(est, Record):
-        est = Record(est)
+    est = as_record(est)
     if est.channels != true_rec.channels or est.length != true_rec.length:
         raise ShapeMismatch(
             f"estimated ({est.channels} x {est.length}) vs true "

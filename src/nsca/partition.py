@@ -17,8 +17,8 @@ from .errors import (
     EmptyClass,
     ShapeMismatch,
 )
-from .linalg import SymMatrix
-from .records import IndexSeries, Record
+from .linalg import SymMatrix, sample_cov
+from .records import IndexSeries, as_record
 
 __all__ = [
     "Partition",
@@ -167,8 +167,7 @@ def class_covariances(record, part, weight_rule="cardinality"):
         Naming the first class with fewer than ``n + 1`` samples (empty
         classes included).
     """
-    if not isinstance(record, Record):
-        record = Record(record)
+    record = as_record(record)
     if not isinstance(part, Partition):
         raise TypeError("class_covariances expects a Partition")
     if part.length != record.length:
@@ -176,36 +175,26 @@ def class_covariances(record, part, weight_rule="cardinality"):
     if weight_rule not in ("cardinality", "uniform"):
         raise ValueError("weight_rule must be 'cardinality' or 'uniform'")
     n = record.channels
-    T = record.length
-    X = record.samples
-    covs = []
-    means = np.empty((part.K, n))
-    for i in range(part.K):
-        cnt = int(part.class_counts[i])
+    for i, cnt in enumerate(part.class_counts):
         if cnt < n + 1:
             raise ClassTooSmall(
                 f"class {i} has {cnt} samples, needs at least {n + 1}",
                 class_index=i,
             )
-        Xi = X[:, part.labels == i]
-        mi = Xi.mean(axis=1)
-        centered = Xi - mi[:, None]
-        covs.append(SymMatrix(centered @ centered.T / (cnt - 1)))
-        means[i] = mi
+    X = record.samples
+    covs, means, _ = zip(*(sample_cov(X[:, part.labels == i]) for i in range(part.K)))
     if weight_rule == "cardinality":
-        weights = part.class_counts / T
+        weights = part.class_counts / record.length
     else:
         weights = np.full(part.K, 1.0 / part.K)
-    mx = X.mean(axis=1)
-    centered = X - mx[:, None]
-    total = SymMatrix(centered @ centered.T / (T - 1))
+    total, total_mean, _ = sample_cov(X)
     return CovarianceSet(
-        covs=tuple(covs),
-        means=means,
+        covs=covs,
+        means=np.array(means),
         weights=np.asarray(weights, dtype=np.float64),
         counts=part.class_counts.copy(),
         total=total,
-        total_mean=mx,
+        total_mean=total_mean,
     )
 
 

@@ -68,6 +68,11 @@ class Record:
         )
 
 
+def as_record(record):
+    """Coerce an ndarray (or Record) to Record."""
+    return record if isinstance(record, Record) else Record(record)
+
+
 @dataclass
 class IndexSeries:
     """Per-sample nonstationarity index emitted by a detector.

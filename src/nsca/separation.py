@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import energy_envelope
-from .errors import BadClass, BadComponent, NotPositiveDefinite, ShapeMismatch
-from .linalg import SymMatrix, ajd, gevd, off_diag_residual, sym_eig
+from .errors import BadClass, BadComponent, ShapeMismatch
+from .linalg import SymMatrix, ajd, gevd, off_diag_residual, sample_cov, sym_eig
 from .partition import Partition, class_covariances, threshold_mask
-from .records import Record
+from .records import Record, as_record
 
 __all__ = [
     "SeparationResult",
@@ -61,8 +61,7 @@ class ClassComponentMap:
 def apply_separation(W, record):
     """Project a record through a demixer: channel ``i`` is ``W[:, i]^T x_k``."""
     W = np.asarray(W, dtype=np.float64)
-    if not isinstance(record, Record):
-        record = Record(record)
+    record = as_record(record)
     n = record.channels
     if W.shape != (n, n):
         raise ShapeMismatch(f"demixer must be ({n}, {n}), got {W.shape}")
@@ -72,10 +71,8 @@ def apply_separation(W, record):
 
 
 def _spectra(W, covset):
-    out = np.empty((covset.K, W.shape[1]))
-    for i, C in enumerate(covset.covs):
-        out[i] = np.diag(W.T @ C.entries @ W)
-    return out
+    covs = np.stack([C.entries for C in covset.covs])
+    return np.diagonal(W.T @ covs @ W, axis1=1, axis2=2).copy()
 
 
 def _whitening_error(W, total):
@@ -118,12 +115,7 @@ def nsca_two_class(record, mask, reg_eps=0.0, weight_rule="cardinality"):
     if mask.K != 2:
         raise BadClass(f"two-class separation needs K=2, got K={mask.K}")
     covset = class_covariances(record, mask, weight_rule)
-    try:
-        pair = gevd(covset.covs[1], covset.total, order="descending", reg_eps=reg_eps)
-    except NotPositiveDefinite as err:
-        raise NotPositiveDefinite(
-            f"{err}; total covariance is degenerate, pass reg_eps > 0"
-        ) from err
+    pair = gevd(covset.covs[1], covset.total, order="descending", reg_eps=reg_eps)
     W = pair.vectors
     sources = apply_separation(W, record)
     return SeparationResult(
@@ -168,10 +160,7 @@ def nsca_multi_class(record, part, include_total=False, weight_rule="cardinality
         weights.append(float(np.mean(covset.weights)))
     else:
         whitener = covset.total
-    try:
-        W, residual = ajd(mats, weights=weights, whitener=whitener, reg_eps=reg_eps)
-    except NotPositiveDefinite as err:
-        raise NotPositiveDefinite(f"{err}; pass reg_eps > 0 to regularize") from err
+    W, residual = ajd(mats, weights=weights, whitener=whitener, reg_eps=reg_eps)
     sources = apply_separation(W, record)
     return SeparationResult(
         demixer=W,
@@ -198,20 +187,16 @@ def eigenratio_map(spectra, weights):
     index); ``one_to_one`` says whether classes claim distinct components.
     """
     S = np.asarray(spectra, dtype=np.float64)
-    if S.ndim != 2:
-        raise ShapeMismatch("spectra must be (K, n)")
-    K, n = S.shape
+    if S.ndim != 2 or S.shape[0] == 0:
+        raise ShapeMismatch("spectra must be (K, n) with K >= 1")
+    K = S.shape[0]
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (K,):
         raise ShapeMismatch("one weight per class")
-    ratios = np.empty((K, n))
-    for j in range(K):
-        denom = np.zeros(n)
-        for i in range(K):
-            if i != j:
-                denom += w[i] * S[i]
-        denom = np.maximum(denom, RATIO_FLOOR)
-        ratios[j] = S[j] / denom
+    # row j of terms holds w_i S_i, with 0 in place of class j; accumulating
+    # along the rows sums the other classes left to right
+    terms = np.where(np.eye(K, dtype=bool)[:, :, None], 0.0, w[:, None] * S)
+    ratios = S / np.maximum(np.add.accumulate(terms, axis=1)[:, -1], RATIO_FLOOR)
     best = np.argmax(ratios, axis=1)
     return ClassComponentMap(
         ratios=ratios,
@@ -220,10 +205,9 @@ def eigenratio_map(spectra, weights):
     )
 
 
-def _lagged_covariances(record, lags):
-    """Symmetrized lagged covariances of the centered record."""
-    X = record.samples - record.samples.mean(axis=1, keepdims=True)
-    T = record.length
+def _lagged_covariances(X, lags):
+    """Symmetrized lagged covariances of the centred rows ``X``."""
+    T = X.shape[1]
     out = []
     for tau in lags:
         C = X[:, : T - tau] @ X[:, tau:].T / (T - tau - 1)
@@ -256,8 +240,7 @@ def two_round_targeted(
         The round-2 result; diagnostics gain ``round1_demixer``,
         ``round1_residual`` and the round-2 mask counts.
     """
-    if not isinstance(record, Record):
-        record = Record(record)
+    record = as_record(record)
     lags = [int(t) for t in lags]
     if len(lags) == 0:
         raise ValueError("lags must be nonempty")
@@ -269,9 +252,8 @@ def two_round_targeted(
     target = int(target_component)
     if not 0 <= target < n:
         raise BadComponent(f"component {target} outside [0, {n})")
-    X = record.samples - record.samples.mean(axis=1, keepdims=True)
-    total = SymMatrix(X @ X.T / (record.length - 1))
-    mats = _lagged_covariances(record, lags)
+    total, _, X = sample_cov(record.samples)
+    mats = _lagged_covariances(X, lags)
     W1, residual1 = ajd(mats, whitener=total, reg_eps=reg_eps)
     y1 = W1.T @ record.samples
     env = energy_envelope(y1[target], envelope_window)

@@ -54,26 +54,26 @@ def default_source_specs(n):
 
 
 def _parse_spec(spec):
-    parts = str(spec).strip().lower().split(":")
-    kind = parts[0]
+    kind, *fields = str(spec).strip().lower().split(":")
+    try:
+        params = [float(v) for v in fields]
+    except ValueError:
+        raise BadSpec(f"source spec parameters must be numbers: {spec!r}") from None
     if kind == "gaussian":
-        if len(parts) != 1:
+        if params:
             raise BadSpec(f"gaussian takes no parameters: {spec!r}")
         return ("gaussian",)
     if kind == "ar1":
-        if len(parts) != 2:
+        if len(params) != 1:
             raise BadSpec(f"ar1 needs a pole: {spec!r}")
-        a = float(parts[1])
-        if not -1.0 < a < 1.0:
+        if not -1.0 < params[0] < 1.0:
             raise BadSpec(f"ar1 pole must be inside (-1, 1): {spec!r}")
-        return ("ar1", a)
+        return ("ar1", params[0])
     if kind == "ecg":
-        if len(parts) not in (3, 4):
+        if len(params) not in (2, 3):
             raise BadSpec(f"ecg needs rate and width: {spec!r}")
-        rate = float(parts[1])
-        width = float(parts[2])
-        jitter = float(parts[3]) if len(parts) == 4 else 10.0
-        return ("ecg", rate, width, jitter)
+        jitter = params[2] if len(params) == 3 else 10.0
+        return ("ecg", params[0], params[1], jitter)
     raise BadSpec(f"unknown source spec {spec!r}")
 
 
@@ -82,12 +82,13 @@ def _synth_source(spec, T, sample_rate_hz, rng):
     if kind == "gaussian":
         return rng.standard_normal(T)
     if kind == "ar1":
+        from scipy.signal import lfilter  # here, so CLI start-up does not load scipy.signal
+
         a = spec[1]
         e = rng.standard_normal(T) * np.sqrt(1.0 - a * a)
         x = np.empty(T)
         x[0] = rng.standard_normal()
-        for t in range(1, T):
-            x[t] = a * x[t - 1] + e[t]
+        x[1:] = lfilter([1.0], [1.0, -a], e[1:], zi=[a * x[0]])[0]
         return x
     rate, width, jitter = spec[1], spec[2], spec[3]
     return gen_ecg_like(

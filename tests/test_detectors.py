@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nsca.detectors import (
     FittedCdf,
@@ -238,6 +240,24 @@ class TestPrewhiten:
         rec = Record(np.vstack([x, x]))  # rank 1 covariance
         white = prewhiten(rec, reg_eps=1e-6)
         assert np.isfinite(white.samples).all()
+
+    def test_negative_ridge_rejected(self):
+        rng = np.random.default_rng(13)
+        rec = Record(rng.normal(size=(3, 3)) @ rng.normal(size=(3, 2000)))
+        with pytest.raises(ValueError):
+            prewhiten(rec, reg_eps=-0.01)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), extra=st.integers(2, 400))
+def test_prewhiten_output_has_identity_covariance(seed, n, extra):
+    rng = np.random.default_rng(seed)
+    A = np.eye(n) + 0.5 * rng.normal(size=(n, n))
+    assume(np.linalg.cond(A) < 1e3)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+    rec = Record(scale * (A @ rng.normal(size=(n, n + extra))) + rng.normal(size=(n, 1)))
+    cov = np.atleast_2d(np.cov(prewhiten(rec).samples, ddof=1))
+    assert np.abs(cov - np.eye(n)).max() <= 1e-9
 
 
 class TestArTracking:

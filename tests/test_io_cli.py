@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nsca.cli
+import nsca.errors
 from nsca.cli import main
 from nsca.errors import MalformedInput
 from nsca.io import (
@@ -568,3 +570,64 @@ class TestCliEval:
                     "--est-mask", mask, "--truth-mask", mask])
         assert code == 3
         assert "(line 3)" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def envelope_csv(synth_dir, tmp_path_factory):
+    d = tmp_path_factory.mktemp("envelope")
+    assert run(["detect", "--record", synth_dir / "record.csv", "--detectors", "envelope",
+                "--envelope-window", 151, "--out-dir", d]) == 0
+    return d / "envelope.csv"
+
+
+class TestCliExitCodes:
+    # {record}, {mask} and {index} name the pipeline fixture files
+    OUT_OF_RANGE = {
+        "theta-0": "separate --record {record} --index {index} --theta 0",
+        "quantiles-1": "separate --record {record} --index {index} --quantiles 1",
+        "negative-reg-eps": "separate --record {record} --mask {mask} --reg-eps -1",
+        "min-event-len-0": "separate --record {record} --index {index} --min-event-len 0",
+        "lag-0": "separate --record {record} --two-round --target 0 --lags 0",
+        "lag-not-a-number": "separate --record {record} --two-round --target 0 --lags 1,x",
+        "negative-easi-step": "detect --record {record} --detectors easi --easi-step -1",
+        "cumulant-order-7": "detect --record {record} --detectors cumulant --cumulant-order 7",
+        "non-numeric-pole": "synth --n 3 --t 2000 --sources gaussian,ar1:x,gaussian",
+    }
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+    def test_out_of_range_flag_is_usage_error(self, case, synth_dir, envelope_csv, tmp_path,
+                                              capsys):
+        argv = self.OUT_OF_RANGE[case].format(
+            record=synth_dir / "record.csv", mask=synth_dir / "mask.csv", index=envelope_csv)
+        out = tmp_path / "out"
+        assert run(argv.split() + ["--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert sum(line.startswith("nsca: ") for line in err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    # the exit code the cli docstring lists for each failure
+    EXIT_CODES = {
+        "BadSpec": 2, "BadChannel": 2, "BadClass": 2, "BadComponent": 2, "InvalidWindow": 2,
+        "MalformedInput": 3, "OSError": 3,
+        "ClassTooSmall": 4, "NotPositiveDefinite": 4, "NoConvergence": 4, "EmptyClass": 4,
+        "Diverged": 4, "DegenerateIndex": 4, "DegenerateSeries": 4, "DegenerateTruth": 4,
+        "ShapeMismatch": 5, "ModelMismatch": 5,
+    }
+
+    def test_every_error_class_has_an_exit_code(self):
+        classes = {name for name, value in vars(nsca.errors).items()
+                   if isinstance(value, type) and issubclass(value, nsca.errors.NscaError)
+                   and value is not nsca.errors.NscaError}
+        assert classes | {"OSError"} == set(self.EXIT_CODES)
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_exit_code_of_each_error(self, name, monkeypatch, capsys):
+        exc = getattr(nsca.errors, name, None) or OSError
+
+        def fail(args):
+            raise exc("raised by the test")
+
+        monkeypatch.setattr(nsca.cli, "cmd_eval", fail)
+        assert run(["eval", "--est", "e.csv", "--truth", "t.csv"]) == self.EXIT_CODES[name]
+        assert "nsca: " in capsys.readouterr().err

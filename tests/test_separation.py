@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nsca.errors import BadClass, BadComponent, ClassTooSmall, ShapeMismatch
-from nsca.linalg import amari_index
-from nsca.partition import Partition
+from nsca.errors import (
+    BadClass,
+    BadComponent,
+    ClassTooSmall,
+    NotPositiveDefinite,
+    ShapeMismatch,
+)
+from nsca.linalg import amari_index, cholesky
+from nsca.partition import Partition, class_covariances
 from nsca.records import Record
 from nsca.separation import (
     apply_separation,
@@ -208,6 +216,50 @@ class TestEigenratioMap:
     def test_weight_shape_checked(self):
         with pytest.raises(ShapeMismatch):
             eigenratio_map(np.ones((2, 3)), weights=[1.0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 12), n=st.integers(1, 6))
+def test_eigenratio_map_matches_the_class_loop(seed, K, n):
+    # the reference sums the other classes left to right, one at a time
+    rng = np.random.default_rng(seed)
+    S = rng.uniform(0.0, 5.0, size=(K, n)) * 10.0 ** rng.integers(-14, 3, size=(K, 1))
+    w = rng.uniform(0.0, 1.0, size=K)
+    ref = np.empty((K, n))
+    for j in range(K):
+        denom = np.zeros(n)
+        for i in range(K):
+            if i != j:
+                denom += w[i] * S[i]
+        ref[j] = S[j] / np.maximum(denom, 1e-12)
+    assert np.array_equal(eigenratio_map(S, w).ratios, ref)
+
+
+class TestDegenerateTotal:
+    """Three channels mixed from two sources: the total covariance has rank 2."""
+
+    @staticmethod
+    def _record():
+        rng = np.random.default_rng(21)
+        return Record(rng.normal(size=(3, 2)) @ rng.normal(size=(2, 900)))
+
+    @staticmethod
+    def _labels(K):
+        return np.repeat(np.arange(K), 900 // K)
+
+    def test_cholesky_fails_at_pivot_2(self):
+        covset = class_covariances(self._record(), Partition(self._labels(2)))
+        with pytest.raises(NotPositiveDefinite) as ei:
+            cholesky(covset.total)
+        assert ei.value.pivot == 2
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_engine_keeps_the_pivot(self, K):
+        engine = nsca_two_class if K == 2 else nsca_multi_class
+        with pytest.raises(NotPositiveDefinite) as ei:
+            engine(self._record(), Partition(self._labels(K)))
+        assert ei.value.pivot == 2
+        assert str(ei.value).count("pass reg_eps > 0") == 1
 
 
 class TestTwoRound:

@@ -1,14 +1,57 @@
 """Ground-truth generator tests."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nsca
 from nsca.detectors import reference_trigger_index
 from nsca.errors import BadSpec
 from nsca.metrics import eval_index_auc
-from nsca.synthetic import DEFAULT_BURST, default_source_specs, gen_ecg_like, gen_mixture
+from nsca.synthetic import (
+    DEFAULT_BURST,
+    _synth_source,
+    default_source_specs,
+    gen_ecg_like,
+    gen_mixture,
+)
 
 BURST = dict(count=2, min_len=400, max_len=700, amplitude=4.0)
+
+
+def ar1_reference(a, T, rng):
+    """The AR(1) source as a per-sample loop, with the generator's draw order."""
+    e = rng.standard_normal(T) * np.sqrt(1.0 - a * a)
+    x = np.empty(T)
+    x[0] = rng.standard_normal()
+    for t in range(1, T):
+        x[t] = a * x[t - 1] + e[t]
+    return x
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    a=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    T=st.integers(2, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ar1_source_matches_the_loop(a, T, seed):
+    got = _synth_source(("ar1", a), T, 500.0, np.random.default_rng(seed))
+    assert np.array_equal(got, ar1_reference(a, T, np.random.default_rng(seed)))
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    src = os.path.dirname(os.path.dirname(nsca.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, nsca.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestGenMixture:
@@ -87,6 +130,9 @@ class TestGenMixture:
             gen_mixture(3, 2000, dict(BURST, source=7), seed=0)
         with pytest.raises(BadSpec):
             gen_mixture(2, 2000, BURST, seed=0, mixing=np.zeros((2, 2)))
+        for spec in ("ar1:x", "ecg:fast:0.05", "ecg:3.5:0.05:some"):  # non-numeric
+            with pytest.raises(BadSpec):
+                gen_mixture(3, 2000, BURST, source_specs=["gaussian", spec, "gaussian"], seed=0)
 
     def test_default_specs_cover_n(self):
         for n in (2, 5, 9):
