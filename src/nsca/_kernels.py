@@ -54,45 +54,20 @@ def solve_lower_t(L, B):
 
 
 # ---------------------------------------------------------------------------
-# Cyclic Jacobi eigendecomposition of a symmetric matrix
+# Symmetric eigendecomposition (LAPACK through numpy.linalg.eigh)
 # ---------------------------------------------------------------------------
 
-def jacobi_eig(S, max_sweeps, eps):
-    # Returns (diag, V, sweeps_used, converged). eps is the absolute bound on
-    # off-diagonal magnitude at which a sweep declares convergence.
-    n = S.shape[0]
-    A = S.copy()
-    V = np.eye(n)
-    sweeps = 0
-    for sweep in range(max_sweeps):
-        offmat = np.abs(A - np.diag(np.diag(A)))
-        if offmat.max(initial=0.0) <= eps:
-            return np.diag(A).copy(), V, sweeps, 1
-        sweeps = sweep + 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                A[:, p] = c * colp - s * colq
-                A[:, q] = s * colp + c * colq
-                rowp = A[p, :].copy()
-                rowq = A[q, :].copy()
-                A[p, :] = c * rowp - s * rowq
-                A[q, :] = s * rowp + c * rowq
-                A[p, q] = A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    return np.diag(A).copy(), V, max_sweeps, 0
+def jacobi_eig(S):
+    # Returns (values ascending, V, sweeps, converged); converged is 0 when
+    # LAPACK fails. The Jacobi name and the always-zero sweep count remain only
+    # because perfbench/spans.py wraps this kernel by name and reads out[2] and
+    # out[3].
+    try:
+        vals, V = np.linalg.eigh(S)
+    except np.linalg.LinAlgError:
+        n = S.shape[0]
+        return np.full(n, np.nan), np.full((n, n), np.nan), 0, 0
+    return vals, V, 0, 1
 
 
 # ---------------------------------------------------------------------------

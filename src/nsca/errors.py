@@ -18,7 +18,7 @@ class NotPositiveDefinite(NscaError):
 
 
 class NoConvergence(NscaError):
-    """An iterative solver hit its sweep cap before reaching tolerance."""
+    """A solver did not converge: a sweep cap or LAPACK's eigensolver failed."""
 
 
 class ShapeMismatch(NscaError):

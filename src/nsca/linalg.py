@@ -1,13 +1,13 @@
 """Symmetric dense linear algebra for small covariance matrices.
 
-The solvers here run on the package's own numpy kernels (``_kernels``) rather
-than LAPACK so that their failure behaviour is fully specified: Cholesky
-reports the failing pivot, the Jacobi eigensolver and the joint diagonalizer
-report their sweep budgets, and every tolerance is explicit. Matrices in this
-package are covariance-sized (a few dozen rows at most), where cyclic Jacobi
-sweeps are accurate and fast enough, and where the numpy Cholesky and
-triangular solves cost less per call than ``scipy.linalg``, which brings its
-own OpenBLAS thread pool.
+The symmetric eigendecomposition is LAPACK's, through ``numpy.linalg.eigh``.
+Cholesky, the triangular solves and the joint diagonalizer run on the
+package's own numpy kernels (``_kernels``) so that their failure behaviour is
+fully specified: Cholesky reports the failing pivot, the joint diagonalizer
+reports its sweep budget, and every tolerance is explicit. Matrices in this
+package are covariance-sized (a few dozen rows at most), where the numpy
+Cholesky and triangular solves cost less per call than ``scipy.linalg``,
+which brings its own OpenBLAS thread pool.
 
 The package's sample covariance (``sample_cov``), ridged whitening factor and
 ``L^{-1} C L^{-T}`` congruence each have their one implementation here.
@@ -29,13 +29,10 @@ __all__ = [
     "ajd",
     "off_diag_residual",
     "amari_index",
-    "JACOBI_MAX_SWEEPS",
     "AJD_MAX_SWEEPS",
     "AJD_ANGLE_TOL",
 ]
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFF_TOL = 1e-13  # relative to max |entry|
 AJD_MAX_SWEEPS = 200
 AJD_ANGLE_TOL = 1e-10
 CHOLESKY_PIVOT_TOL = 1e-12  # relative to trace/n
@@ -82,7 +79,11 @@ def sample_cov(X):
 
 @dataclass(frozen=True)
 class EigPair:
-    """Eigenvalues with matched eigenvector columns and their sort order."""
+    """Eigenvalues with matched eigenvector columns and their sort order.
+
+    Each column is a unit vector of either sign; the columns of a repeated
+    eigenvalue are some orthonormal basis of its eigenspace.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
@@ -119,38 +120,29 @@ def cholesky(mat):
     return L
 
 
-def sym_eig(mat, max_sweeps=JACOBI_MAX_SWEEPS):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+def sym_eig(mat):
+    """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
     Parameters
     ----------
     mat : SymMatrix or array_like
-    max_sweeps : int
-        Sweep budget before giving up.
 
     Returns
     -------
     EigPair
-        Eigenvalues ascending, ties kept in rotation order (stable sort);
-        eigenvector columns orthonormal and matched to values.
+        Eigenvalues ascending; eigenvector columns orthonormal and matched
+        to values.
 
     Raises
     ------
     NoConvergence
-        If the off-diagonal mass has not reached tolerance within the budget.
+        If LAPACK reports that its eigenvalue iteration failed.
     """
-    S = as_sym(mat).entries
-    scale = np.abs(S).max()
-    eps = JACOBI_OFF_TOL * scale
-    vals, vecs, sweeps, converged = _kernels.jacobi_eig(
-        np.ascontiguousarray(S), max_sweeps, eps
-    )
+    S = np.ascontiguousarray(as_sym(mat).entries)
+    vals, vecs, _, converged = _kernels.jacobi_eig(S)
     if not converged:
-        raise NoConvergence(
-            f"Jacobi eigensolver: off-diagonal mass above tolerance after {sweeps} sweeps"
-        )
-    order = np.argsort(vals, kind="stable")
-    return EigPair(values=vals[order], vectors=vecs[:, order], order="ascending")
+        raise NoConvergence("symmetric eigensolver: LAPACK eigh did not converge")
+    return EigPair(values=vals, vectors=vecs, order="ascending")
 
 
 def _whitening_factor(B, reg_eps):

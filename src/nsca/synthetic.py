@@ -225,14 +225,17 @@ def gen_ecg_like(rate_hz, sample_rate_hz, T, width_s, amplitude=1.0, jitter_pct=
     """Quasi-periodic pulse train: Gaussian kernels at jittered beat times.
 
     Beat intervals are ``sample_rate_hz / rate_hz`` samples, each multiplied
-    by an independent uniform factor in ``1 +/- jitter_pct/100``. Kernels sum
-    where they overlap. ``seed`` may be an int or a Generator.
+    by an independent uniform factor in ``1 +/- jitter_pct/100``; the
+    shortest interval must be at least one sample. Kernels sum where they
+    overlap. ``seed`` may be an int or a Generator.
     """
     T = int(T)
-    if rate_hz <= 0 or sample_rate_hz <= 0 or width_s <= 0:
-        raise BadSpec("rate, sample rate and width must be positive")
+    if not all(0 < v < np.inf for v in (rate_hz, sample_rate_hz, width_s)):
+        raise BadSpec("rate, sample rate and width must be positive and finite")
     if not 0 <= jitter_pct < 100:
         raise BadSpec("jitter_pct must be in [0, 100)")
+    if sample_rate_hz / rate_hz * (1.0 - jitter_pct / 100.0) < 1.0:
+        raise BadSpec("beat interval below one sample at this rate and jitter")
     if rate_hz * T / sample_rate_hz < 2:
         raise BadSpec("series too short for 2 beats at this rate")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -592,6 +592,9 @@ class TestCliExitCodes:
         "negative-easi-step": "detect --record {record} --detectors easi --easi-step -1",
         "cumulant-order-7": "detect --record {record} --detectors cumulant --cumulant-order 7",
         "non-numeric-pole": "synth --n 3 --t 2000 --sources gaussian,ar1:x,gaussian",
+        "ecg-rate-inf": "synth --n 2 --t 1000 --sources gaussian,ecg:inf:0.05",
+        "ecg-rate-1e300": "synth --n 2 --t 1000 --sources gaussian,ecg:1e300:0.05",
+        "ecg-rate-nan": "synth --n 2 --t 1000 --sources gaussian,ecg:nan:0.05",
     }
 
     @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))

@@ -94,7 +94,7 @@ class TestSymEig:
         assert_allclose(v1, [1.0, 1.0] / np.sqrt(2), atol=1e-14)
 
     def test_identity_stable_tie_order(self):
-        # no rotations happen, so the tied eigenvalue keeps coordinate order
+        # LAPACK returns an already diagonal input as is, ties in coordinate order
         pair = sym_eig(np.eye(4))
         assert_allclose(pair.values, np.ones(4))
         assert_allclose(pair.vectors, np.eye(4))
@@ -127,11 +127,16 @@ class TestSymEig:
             b = sym_eig(Q @ S @ Q.T).values
             assert_allclose(a, b, atol=1e-8 * max(np.abs(S).max(), 1.0))
 
-    def test_sweep_cap_raises(self):
-        rng = np.random.default_rng(23)
-        S = random_spd(rng, 6)
+    def test_lapack_failure_raises(self, monkeypatch):
+        def fail(S):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        S = random_spd(np.random.default_rng(23), 6)
         with pytest.raises(NoConvergence):
-            sym_eig(S, max_sweeps=0)
+            sym_eig(S)
+        with pytest.raises(NoConvergence):
+            gevd(S, np.eye(6))
 
 
 class TestGevd:
@@ -298,6 +303,34 @@ def test_gevd_whitens_b_and_diagonalizes_a(seed, n, cond, scale):
     off = D - np.diag(np.diag(D))
     bound = 1e-12 * cond * np.linalg.norm(A, 2) * np.linalg.norm(W, 2) ** 2
     assert np.abs(off).max() <= bound
+
+
+@PROPERTY
+@given(seeds, st.data())
+def test_sym_eig_decomposes_with_repeated_and_clustered_values(seed, data):
+    # S = Q diag(lam) Q^T, where lam may repeat a value exactly or cluster
+    # values within a relative 1e-9, at scales from 1e-3 to 1e3
+    n = data.draw(st.integers(1, 8), label="n")
+    scale = data.draw(st.floats(1e-3, 1e3), label="scale")
+    shape = data.draw(st.sampled_from(["distinct", "repeated", "clustered"]), label="shape")
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(-1.0, 1.0, n)
+    if shape != "distinct":
+        groups = rng.integers(0, max(n // 2, 1), n)
+        lam = lam[groups]
+        if shape == "clustered":
+            lam = lam * (1.0 + 1e-9 * rng.standard_normal(n))
+    lam = scale * lam
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    S = Q @ np.diag(lam) @ Q.T
+    S = 0.5 * (S + S.T)
+    pair = sym_eig(S)
+    V, vals = pair.vectors, pair.values
+    tol = 1e-10 * np.abs(S).max()
+    assert np.abs(S @ V - V * vals).max() <= tol
+    assert np.abs(V.T @ V - np.eye(n)).max() <= 1e-12
+    assert np.all(np.diff(vals) >= 0)
+    assert np.abs(vals - np.sort(lam)).max() <= tol
 
 
 @PROPERTY

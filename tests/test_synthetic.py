@@ -1,8 +1,10 @@
 """Ground-truth generator tests."""
 
+import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -176,3 +178,20 @@ class TestGenEcgLike:
             gen_ecg_like(-1.0, 500.0, 5000, width_s=0.02)
         with pytest.raises(BadSpec):
             gen_ecg_like(2.0, 500.0, 5000, width_s=0.02, jitter_pct=150.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(BadSpec):
+                gen_ecg_like(2.0, 500.0, 5000, width_s=bad)
+            with pytest.raises(BadSpec):
+                gen_ecg_like(2.0, bad, 5000, width_s=0.02)
+        # the shortest jittered beat interval must be at least one sample
+        gen_ecg_like(250.0, 500.0, 1000, width_s=0.001, jitter_pct=50.0)
+        with pytest.raises(BadSpec):
+            gen_ecg_like(250.0, 500.0, 1000, width_s=0.001, jitter_pct=60.0)
+
+    @pytest.mark.parametrize("rate", [math.inf, 1e300, math.nan, 600.0])
+    def test_rate_without_a_sample_per_beat_rejected(self, rate):
+        # inf and 1e300 made the beat loop step by 0 or 5e-298 samples forever
+        start = time.monotonic()
+        with pytest.raises(BadSpec):
+            gen_ecg_like(rate, 500.0, 1000, width_s=0.05)
+        assert time.monotonic() - start < 1.0
