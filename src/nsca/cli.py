@@ -189,13 +189,9 @@ def cmd_detect(args):
     if not 0 <= args.ref_channel < record.channels:
         raise BadChannel(f"reference channel {args.ref_channel} out of range")
     # every detector runs before any output, so a failing one writes nothing
-    results = []
-    for name in names:
-        idx = _run_detector(name, record, args)
-        results.append((name, idx, normalize_index(idx)))
-    for name, idx, norm in results:
+    results = [(name, _run_detector(name, record, args)) for name in names]
+    for name, idx in results:
         io.write_index(_out_path(args, f"{name}.csv"), idx)
-        io.write_index(_out_path(args, f"{name}_norm.csv"), norm)
         valid = idx.values[idx.valid_from:]
         argmax = int(np.argmax(valid)) + idx.valid_from
         print(
@@ -205,7 +201,7 @@ def cmd_detect(args):
         ref = record.channel(args.ref_channel)
         scale = np.abs(ref).max() or 1.0
         _write_plot(args, "plot_indexes.csv", ["reference", *names],
-                    [ref / scale] + [norm.values for _, _, norm in results])
+                    [ref / scale] + [normalize_index(idx).values for _, idx in results])
     return 0
 
 

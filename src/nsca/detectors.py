@@ -170,6 +170,12 @@ def _prefix(x):
     return out
 
 
+def _trailing_mean(x, w):
+    """Means of the ``x.size - w + 1`` trailing windows of length ``w``."""
+    s = _prefix(x)
+    return (s[w:] - s[:-w]) / w
+
+
 def energy_envelope(series, window=DEFAULT_ENVELOPE_WINDOW):
     """Centered moving average of squared samples, truncated at the edges.
 
@@ -207,30 +213,23 @@ def cumulant_tracking(series, window=DEFAULT_CUMULANT_WINDOW, order=DEFAULT_CUMU
         raise InvalidWindow(f"window {w} outside [1, {x.size}]")
     if order >= 3 and w < 8:
         raise InvalidWindow("windows shorter than 8 are too noisy for order >= 3")
-    T = x.size
-    k = np.arange(w - 1, T)
-    a = k - w + 1
-    s1 = _prefix(x)
-    mu = (s1[k + 1] - s1[a]) / w
+    mu = _trailing_mean(x, w)
     if order == 1:
         core = mu
     else:
-        s2 = _prefix(x * x)
-        m2 = (s2[k + 1] - s2[a]) / w - mu * mu
+        r2 = _trailing_mean(x * x, w)
+        m2 = r2 - mu * mu
         if order == 2:
             core = m2
         else:
-            s3 = _prefix(x ** 3)
-            r3 = (s3[k + 1] - s3[a]) / w
-            r2 = (s2[k + 1] - s2[a]) / w
+            r3 = _trailing_mean(x ** 3, w)
             if order == 3:
                 core = r3 - 3.0 * mu * r2 + 2.0 * mu ** 3
             else:
-                s4 = _prefix(x ** 4)
-                r4 = (s4[k + 1] - s4[a]) / w
+                r4 = _trailing_mean(x ** 4, w)
                 m4 = r4 - 4.0 * mu * r3 + 6.0 * mu * mu * r2 - 3.0 * mu ** 4
                 core = m4 - 3.0 * m2 * m2
-    values = np.zeros(T)
+    values = np.zeros(x.size)
     values[w - 1:] = np.abs(core)
     return IndexSeries(
         values, valid_from=w - 1, name=f"cumulant_{order}", meta={"window": w, "order": order}
@@ -462,29 +461,20 @@ def kalman_innovation_index(record, model, window=DEFAULT_WHITENESS_WINDOW):
 
     ``e`` are the normalized squared innovations of the model run on the
     record. Each output combines the trailing-window mean of ``e`` with the
-    magnitude of its lag-1 sample autocorrelation over the same window, so
-    both energy excursions and serial structure (either one betrays a model
-    mismatch) raise the index. ``valid_from = window - 1``.
+    magnitude of the window's lag-1 Yule-Walker coefficient, which is the
+    biased lag-1 autocorrelation ``c1 / c0`` of the demeaned window, so both
+    energy excursions and serial structure (either one betrays a model
+    mismatch) raise the index. A window with zero power or ``|c1 / c0| >= 1``
+    adds no whiteness term. ``valid_from = window - 1``.
     """
     record = as_record(record)
     w = int(window)
     if not 2 <= w <= record.length:
         raise InvalidWindow(f"window {w} outside [2, {record.length}]")
     e = normalized_innovations(record, model)
-    T = e.size
-    se = _prefix(e)
-    se2 = _prefix(e * e)
-    sp = np.empty(T + 1)
-    sp[:2] = 0.0
-    np.cumsum(e[1:] * e[:-1], out=sp[2:])
-    k = np.arange(w - 1, T)
-    a = k - w + 1
-    mu = (se[k + 1] - se[a]) / w
-    den = se2[k + 1] - se2[a] - w * mu * mu
-    num = (sp[k + 1] - sp[a + 1]) - mu * ((se[k + 1] - se[a + 1]) + (se[k] - se[a])) + (w - 1) * mu * mu
-    rho = np.divide(num, den, out=np.zeros_like(num), where=den > 1e-300)
-    values = np.zeros(T)
-    values[w - 1:] = mu + np.abs(rho)
+    rho = _kernels.ar_sliding(e, w, 1, 1e-300)[0][w - 1:, 0]
+    values = np.zeros(e.size)
+    values[w - 1:] = _trailing_mean(e, w) + np.abs(rho)
     return IndexSeries(values, valid_from=w - 1, name="innovation", meta={"window": w})
 
 
@@ -492,29 +482,25 @@ def fit_ar1_state_space(record, obs_noise_frac=1e-3):
     """Fit a first-order vector-autoregressive state-space model to a record.
 
     A matched background model for the innovation detector when nothing
-    better is known: least-squares one-step transition on the centered data,
-    process noise from the fit residuals, a small diagonal observation noise
-    sized by ``obs_noise_frac`` of the mean channel variance.
+    better is known: the one-step transition fitted to the centered data by
+    LAPACK least squares (``numpy.linalg.lstsq``), which gives the
+    minimum-norm transition when the record is rank deficient (a duplicated
+    channel, say); process noise from the fit residuals; a small diagonal
+    observation noise sized by ``obs_noise_frac`` of the mean channel
+    variance; the channel means as the initial state.
     """
     record = as_record(record)
     if record.length < record.channels + 2:
         raise ShapeMismatch("record too short to fit a transition")
-    X = record.samples - record.samples.mean(axis=1, keepdims=True)
+    mean = record.samples.mean(axis=1)
+    X = record.samples - mean[:, None]
     X0 = X[:, :-1]
     X1 = X[:, 1:]
-    Tm1 = X0.shape[1]
-    C0 = SymMatrix(X0 @ X0.T / Tm1)
-    C01 = X0 @ X1.T / Tm1
-    n = record.channels
-    try:
-        L = cholesky(C0)
-    except NotPositiveDefinite:
-        L = cholesky(SymMatrix(C0.entries + 1e-9 * max(np.trace(C0.entries) / n, 1.0) * np.eye(n)))
-    Ft = _kernels.solve_lower_t(L, _kernels.solve_lower(L, np.ascontiguousarray(C01)))
-    F = np.ascontiguousarray(Ft.T)
+    F = np.linalg.lstsq(X0.T, X1.T, rcond=None)[0].T
     resid = X1 - F @ X0
-    Q = SymMatrix(resid @ resid.T / max(Tm1 - 1, 1))
+    Q = SymMatrix(resid @ resid.T / max(X0.shape[1] - 1, 1))
     mean_var = float(np.mean(np.var(record.samples, axis=1)))
+    n = record.channels
     R = SymMatrix(max(obs_noise_frac * mean_var, 1e-12) * np.eye(n))
     P0 = SymMatrix(X @ X.T / record.length)
     return StateSpaceModel(
@@ -522,7 +508,7 @@ def fit_ar1_state_space(record, obs_noise_frac=1e-3):
         observation=np.eye(n),
         process_noise_cov=Q,
         obs_noise_cov=R,
-        init_state=record.samples.mean(axis=1),
+        init_state=mean,
         init_cov=P0,
     )
 

@@ -81,7 +81,8 @@ def sample_cov(X):
 class EigPair:
     """Eigenvalues with matched eigenvector columns and their sort order.
 
-    Each column is a unit vector of either sign; the columns of a repeated
+    From :func:`sym_eig`, each column is a unit vector whose largest-magnitude
+    entry (the first, on ties) is positive; the columns of a repeated
     eigenvalue are some orthonormal basis of its eigenspace.
     """
 
@@ -130,8 +131,9 @@ def sym_eig(mat):
     Returns
     -------
     EigPair
-        Eigenvalues ascending; eigenvector columns orthonormal and matched
-        to values.
+        Eigenvalues ascending; eigenvector columns orthonormal, matched to
+        values, each with its largest-magnitude entry positive (LAPACK leaves
+        the sign to the build).
 
     Raises
     ------
@@ -142,7 +144,8 @@ def sym_eig(mat):
     vals, vecs, _, converged = _kernels.jacobi_eig(S)
     if not converged:
         raise NoConvergence("symmetric eigensolver: LAPACK eigh did not converge")
-    return EigPair(values=vals, vectors=vecs, order="ascending")
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return EigPair(values=vals, vectors=vecs * np.sign(peak), order="ascending")
 
 
 def _whitening_factor(B, reg_eps):

@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateTruth, ShapeMismatch
 from .partition import Partition
@@ -101,7 +100,7 @@ def eval_mask(est, truth):
 
 
 def eval_index_auc(idx, truth):
-    """Rank-based AUC of an index against true binary labels, ties at 1/2.
+    """Mann-Whitney AUC of an index against true binary labels, ties at 1/2.
 
     Only samples past the detector's warm-up (``k >= valid_from``) are
     scored; both labels must appear there.
@@ -123,6 +122,7 @@ def eval_index_auc(idx, truth):
     n0 = labels.size - n1
     if n1 == 0 or n0 == 0:
         raise DegenerateTruth("need both labels within the index's valid range")
-    ranks = rankdata(values)
-    auc = (ranks[labels].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0)
-    return float(auc)
+    # each positive wins over the negatives below it and half of those it ties
+    pos, neg = values[labels], np.sort(values[~labels])
+    twice_wins = np.searchsorted(neg, pos, "left") + np.searchsorted(neg, pos, "right")
+    return float(twice_wins.sum() / 2 / (n1 * n0))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import nsca.cli
 import nsca.errors
 from nsca.cli import main
+from nsca.detectors import normalize_index
 from nsca.errors import MalformedInput
 from nsca.io import (
     read_index,
@@ -415,9 +416,9 @@ class TestCliDetect:
         out = capsys.readouterr().out
         for name in ("envelope", "innovation"):
             assert (tmp_path / f"{name}.csv").exists()
-            assert (tmp_path / f"{name}_norm.csv").exists()
             assert f"{name} max=" in out
-        norm = read_index(tmp_path / "envelope_norm.csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["envelope.csv", "innovation.csv"]
+        norm = normalize_index(read_index(tmp_path / "envelope.csv"))
         assert norm.values.max() <= 1.0 + 1e-12
 
     def test_unknown_detector_is_usage_error(self, synth_dir, tmp_path):
@@ -445,7 +446,7 @@ class TestCliDetect:
         lines = (tmp_path / "plot_indexes.csv").read_text().splitlines()
         assert lines[0] == "k,reference,envelope"
         rec = read_record(synth_dir / "record.csv")
-        norm = read_index(tmp_path / "envelope_norm.csv").values
+        norm = normalize_index(read_index(tmp_path / "envelope.csv")).values
         ref = rec.channel(0)
         step = rec.length // 2000
         assert len(lines) == 1 + len(range(0, rec.length, step))

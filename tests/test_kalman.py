@@ -165,6 +165,20 @@ class TestFittedBackgroundModel:
         with pytest.raises(ShapeMismatch):
             fit_ar1_state_space(Record(np.ones((3, 4))))
 
+    def test_duplicated_channel_gets_the_minimum_norm_fit(self):
+        rec, _ = gen_mixture(3, 4000, dict(count=2, min_len=300, max_len=500, amplitude=4.0),
+                             seed=5)
+        Z = np.vstack([rec.samples, rec.samples[:1]])
+        model = fit_ar1_state_space(Record(Z))
+        X = Z - Z.mean(axis=1, keepdims=True)
+        F_ref = np.linalg.lstsq(X[:, :-1].T, X[:, 1:].T, rcond=None)[0].T
+        np.testing.assert_allclose(model.transition, F_ref, rtol=0,
+                                   atol=1e-12 * np.abs(F_ref).max())
+        # the minimum-norm fit splits the weight evenly over the two copies
+        np.testing.assert_allclose(model.transition[:, 0], model.transition[:, 3], atol=1e-9)
+        idx = kalman_innovation_index(Record(Z), model, 128)
+        assert np.isfinite(idx.values).all()
+
 
 def scan_args(record, model):
     return (
@@ -347,3 +361,27 @@ def test_fixed_gain_matches_full_scan_on_stable_models(data, s, m):
     e_ref, status_ref, _ = joseph_scan(*args)
     assert status == status_ref == 0
     np.testing.assert_allclose(e, e_ref, rtol=1e-9, atol=0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(600, 2000), st.data())
+def test_index_is_window_mean_plus_lag1_autocorrelation(seed, n, length, data):
+    # on generator records the valid values are, window by window, the mean
+    # of e plus the biased |lag-1 autocorrelation| of e. The index reads both
+    # from running sums of e and e*e, whose rounding (eps times the running
+    # sum of e*e, against the window's d @ d) dominates in short or nearly
+    # constant windows; the tolerance carries that term on top of rtol 1e-12.
+    burst = dict(count=2, min_len=100, max_len=200, amplitude=4.0)
+    rec, _ = gen_mixture(n, length, burst, default_source_specs(n), seed=seed)
+    w = data.draw(st.integers(2, 256), label="window")
+    model = fit_ar1_state_space(rec)
+    idx = kalman_innovation_index(rec, model, w)
+    e = normalized_innovations(rec, model)
+    win = np.lib.stride_tricks.sliding_window_view(e, w)
+    mean = win.mean(axis=1)
+    d = win - mean[:, None]
+    dd = np.sum(d * d, axis=1)
+    ref = mean + np.abs(np.sum(d[:, 1:] * d[:, :-1], axis=1) / dd)
+    prefix_rounding = np.finfo(float).eps * np.cumsum(e * e)[w - 1:] / dd
+    assert idx.valid_from == w - 1
+    assert np.all(np.abs(idx.valid_values() - ref) <= 1e-12 * ref + 16 * prefix_rounding)

@@ -331,6 +331,8 @@ def test_sym_eig_decomposes_with_repeated_and_clustered_values(seed, data):
     assert np.abs(V.T @ V - np.eye(n)).max() <= 1e-12
     assert np.all(np.diff(vals) >= 0)
     assert np.abs(vals - np.sort(lam)).max() <= tol
+    # sign rule: each column's largest-magnitude entry, the first on ties, is positive
+    assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(n)] > 0)
 
 
 @PROPERTY

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsca.errors import DegenerateTruth, ShapeMismatch
 from nsca.metrics import eval_index_auc, eval_mask, eval_separation
@@ -117,3 +119,21 @@ class TestEvalIndexAuc:
         labels = np.array([0, 0, 1, 1])
         idx = IndexSeries(np.array([4.0, 3.0, 2.0, 1.0]), valid_from=0, name="t")
         assert eval_index_auc(idx, Partition(labels)) == 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 100), st.data())
+def test_auc_matches_pairwise_count_with_ties(seed, n, levels, data):
+    # values take at most `levels` distinct values: one makes them all equal,
+    # a few force ties
+    rng = np.random.default_rng(seed)
+    valid_from = data.draw(st.integers(0, n - 2), label="valid_from")
+    values = rng.integers(0, levels, n) * rng.uniform(0.5, 2.0)
+    labels = rng.integers(0, 2, n)
+    # one sample of each label in the scored range
+    labels[rng.permutation(np.arange(valid_from, n))[:2]] = [0, 1]
+    pos = values[valid_from:][labels[valid_from:] == 1]
+    neg = values[valid_from:][labels[valid_from:] == 0]
+    wins = np.sum(pos[:, None] > neg[None, :]) + 0.5 * np.sum(pos[:, None] == neg[None, :])
+    idx = IndexSeries(values, valid_from=valid_from, name="t")
+    assert eval_index_auc(idx, Partition(labels)) == wins / (pos.size * neg.size)
