@@ -10,7 +10,10 @@ Four subcommands cover the pipeline end to end::
 Every subcommand is deterministic given identical flags, inputs and seed.
 ``NSCA_SEED`` overrides ``--seed`` when set. Exit codes: 0 ok, 2 usage
 (a flag value out of range included), 3 unreadable/malformed input,
-4 numeric or model failure, 5 shape mismatch.
+4 numeric or model failure (every other nsca error), 5 shape mismatch.
+``eval --est-mask`` and ``eval --index`` are scored against ``--truth-mask``
+and are a usage error without it. An output file is replaced only once it is
+completely written.
 
 The scalar detectors (distribution, envelope, cumulant, AR drift) read the
 designated reference channel; the adaptive-separation index consumes the
@@ -48,22 +51,14 @@ from .errors import (
     BadClass,
     BadComponent,
     BadSpec,
-    ClassTooSmall,
-    DegenerateIndex,
-    DegenerateSeries,
-    DegenerateTruth,
-    Diverged,
-    EmptyClass,
     InvalidWindow,
     MalformedInput,
     ModelMismatch,
-    NoConvergence,
-    NotPositiveDefinite,
+    NscaError,
     ShapeMismatch,
 )
 from .metrics import eval_index_auc, eval_mask, eval_separation
 from .partition import quantile_partition, threshold_mask
-from .records import Record
 from .separation import (
     eigenratio_map,
     nsca_multi_class,
@@ -77,7 +72,6 @@ __all__ = ["main"]
 # The four case-study-analog indexes run by default; the cumulant and AR
 # trackers are opt-in extras.
 DEFAULT_DETECTORS = ("ad", "envelope", "easi", "innovation")
-KNOWN_DETECTORS = ("ad", "envelope", "easi", "innovation", "cumulant", "ar")
 
 # The CLI feeds the adaptive separator a prewhitened record, where a step
 # this small tracks bursts without risking weight blow-up. The library-level
@@ -86,6 +80,14 @@ CLI_EASI_STEP = 1e-4
 CLI_EASI_G = "cubic"
 
 PLOT_POINTS = 2000
+
+# The exit code of each error class; every other NscaError is a numeric or
+# model failure and exits 4.
+EXIT_CODES = (
+    ((BadSpec, BadChannel, BadClass, BadComponent, InvalidWindow), 2),
+    (MalformedInput, 3),
+    ((ShapeMismatch, ModelMismatch), 5),
+)
 
 
 def _fail(code, message):
@@ -132,21 +134,11 @@ def _fmt_diag(value):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args):
-    burst = {
-        "count": args.count,
-        "min_len": args.min_len,
-        "max_len": args.max_len,
-        "amplitude": args.amplitude,
-    }
+    burst = dict(count=args.count, min_len=args.min_len, max_len=args.max_len,
+                 amplitude=args.amplitude)
     specs = args.sources.split(",") if args.sources else default_source_specs(args.n)
-    record, truth = gen_mixture(
-        args.n,
-        args.t,
-        burst,
-        specs,
-        seed=_resolve_seed(args),
-        sample_rate_hz=args.sample_rate,
-    )
+    record, truth = gen_mixture(args.n, args.t, burst, specs, seed=_resolve_seed(args),
+                                sample_rate_hz=args.sample_rate)
     io.write_record(_out_path(args, "record.csv"), record)
     io.write_record(_out_path(args, "sources.csv"), truth.sources)
     io.write_matrix(_out_path(args, "mixing.csv"), truth.mixing)
@@ -159,46 +151,40 @@ def cmd_synth(args):
 # detect
 # ---------------------------------------------------------------------------
 
-def _run_detector(name, record, args):
-    if name in ("ad", "envelope", "cumulant", "ar"):
-        x = record.channel(args.ref_channel)
-    if name == "ad":
-        return anderson_darling_index(x, args.ad_window)
-    if name == "envelope":
-        return energy_envelope(x, args.envelope_window)
-    if name == "cumulant":
-        return cumulant_tracking(x, args.cumulant_window, args.cumulant_order)
-    if name == "ar":
-        return ar_tracking(x, args.ar_window, args.ar_order)
-    if name == "easi":
-        return easi_index(prewhiten(record), args.easi_step, args.easi_g)
-    if name == "innovation":
-        model = fit_ar1_state_space(record, args.obs_noise_frac)
-        return kalman_innovation_index(record, model, args.whiteness_window)
-    raise BadSpec(f"unknown detector {name!r}")
+# Each detector, called with the record, its reference channel and the flags.
+# The lambdas look the detector functions up when they run, so rebinding a
+# module name (as a tracer does) reaches the call.
+DETECTORS = {
+    "ad": lambda record, ref, args: anderson_darling_index(ref, args.ad_window),
+    "envelope": lambda record, ref, args: energy_envelope(ref, args.envelope_window),
+    "easi": lambda record, ref, args: easi_index(prewhiten(record), args.easi_step, args.easi_g),
+    "innovation": lambda record, ref, args: kalman_innovation_index(
+        record, fit_ar1_state_space(record, args.obs_noise_frac), args.whiteness_window),
+    "cumulant": lambda record, ref, args: cumulant_tracking(
+        ref, args.cumulant_window, args.cumulant_order),
+    "ar": lambda record, ref, args: ar_tracking(ref, args.ar_window, args.ar_order),
+}
 
 
 def cmd_detect(args):
     record = io.read_record(args.record)
     names = [d.strip() for d in args.detectors.split(",") if d.strip()]
-    unknown = [d for d in names if d not in KNOWN_DETECTORS]
+    unknown = [d for d in names if d not in DETECTORS]
     if unknown:
         raise BadSpec(f"unknown detectors: {', '.join(unknown)}")
     if not names:
         raise BadSpec("no detectors selected")
     if not 0 <= args.ref_channel < record.channels:
         raise BadChannel(f"reference channel {args.ref_channel} out of range")
+    ref = record.channel(args.ref_channel)
     # every detector runs before any output, so a failing one writes nothing
-    results = [(name, _run_detector(name, record, args)) for name in names]
+    results = [(name, DETECTORS[name](record, ref, args)) for name in names]
     for name, idx in results:
         io.write_index(_out_path(args, f"{name}.csv"), idx)
         valid = idx.values[idx.valid_from:]
         argmax = int(np.argmax(valid)) + idx.valid_from
-        print(
-            f"{name} max={valid.max():.6g} argmax={argmax} valid_from={idx.valid_from}"
-        )
+        print(f"{name} max={valid.max():.6g} argmax={argmax} valid_from={idx.valid_from}")
     if args.emit_plot_data:
-        ref = record.channel(args.ref_channel)
         scale = np.abs(ref).max() or 1.0
         _write_plot(args, "plot_indexes.csv", ["reference", *names],
                     [ref / scale] + [normalize_index(idx).values for _, idx in results])
@@ -216,10 +202,8 @@ def _build_partition(args, record):
     if args.mask is not None:
         return io.read_mask(args.mask)
     idx = io.read_index(args.index)
-    if idx.values.shape[0] != record.length:
-        raise ShapeMismatch(
-            f"index length {idx.values.shape[0]} != record length {record.length}"
-        )
+    if idx.length != record.length:
+        raise ShapeMismatch(f"index length {idx.length} != record length {record.length}")
     if args.quantiles is not None:
         return quantile_partition(idx, args.quantiles)
     return threshold_mask(idx, args.theta, args.min_event_len)
@@ -231,38 +215,23 @@ def cmd_separate(args):
         if args.target is None:
             raise BadSpec("--two-round needs --target")
         lags = [int(v) for v in args.lags.split(",")]
-        result = two_round_targeted(
-            record,
-            lags,
-            args.target,
-            reg_eps=args.reg_eps,
-            round2_theta=args.theta,
-        )
+        result = two_round_targeted(record, lags, args.target, reg_eps=args.reg_eps,
+                                    round2_theta=args.theta)
         part = None
     else:
         part = _build_partition(args, record)
-        if part.labels.shape[0] != record.length:
-            raise ShapeMismatch(
-                f"partition length {part.labels.shape[0]} != record length {record.length}"
-            )
         if part.K == 2:
-            result = nsca_two_class(
-                record, part, reg_eps=args.reg_eps, weight_rule=args.weight_rule
-            )
+            result = nsca_two_class(record, part, reg_eps=args.reg_eps,
+                                    weight_rule=args.weight_rule)
         else:
-            result = nsca_multi_class(
-                record,
-                part,
-                include_total=args.include_total,
-                weight_rule=args.weight_rule,
-                reg_eps=args.reg_eps,
-            )
+            result = nsca_multi_class(record, part, include_total=args.include_total,
+                                      weight_rule=args.weight_rule, reg_eps=args.reg_eps)
     io.write_matrix(_out_path(args, "demixer.csv"), result.demixer)
     io.write_record(_out_path(args, "est_sources.csv"), result.sources)
     io.write_spectra(_out_path(args, "spectra.csv"), result.spectra)
     class_weights = np.asarray(result.diagnostics["weights"])[: result.spectra.shape[0]]
     cmap = eigenratio_map(result.spectra, class_weights)
-    with open(_out_path(args, "diagnostics.txt"), "w", encoding="ascii") as fh:
+    with io._replacing(_out_path(args, "diagnostics.txt")) as fh:
         fh.write(f"order: {result.order}\n")
         for key in sorted(result.diagnostics):
             fh.write(f"{key}: {_fmt_diag(result.diagnostics[key])}\n")
@@ -281,15 +250,15 @@ def cmd_separate(args):
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args):
+    scored = args.est_mask or args.index
+    if scored and not args.truth_mask:
+        raise BadSpec("--est-mask and --index are scored against --truth-mask, which is missing")
     est = io.read_record(args.est)
     truth_sources = io.read_record(args.truth)
     report = eval_separation(est, truth_sources)
-    mask_scores = None
-    if args.est_mask and args.truth_mask:
-        mask_scores = eval_mask(io.read_mask(args.est_mask), io.read_mask(args.truth_mask))
-    auc = None
-    if args.index and args.truth_mask:
-        auc = eval_index_auc(io.read_index(args.index), io.read_mask(args.truth_mask))
+    truth_mask = io.read_mask(args.truth_mask) if scored else None
+    mask_scores = eval_mask(io.read_mask(args.est_mask), truth_mask) if args.est_mask else None
+    auc = eval_index_auc(io.read_index(args.index), truth_mask) if args.index else None
 
     print(f"{'estimate':>10} {'truth':>8} {'corr':>8}")
     for i, j, corr in report.pairs:
@@ -392,29 +361,16 @@ def main(argv=None):
         return err.code if err.code is not None else 0
     try:
         return args.func(args)
-    except BadSpec as err:
-        print(f"nsca: {err}", file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
-        return 2
-    except (BadChannel, BadClass, BadComponent, InvalidWindow) as err:
-        return _fail(2, str(err))
-    except MalformedInput as err:
-        return _fail(3, str(err))
+    except NscaError as err:
+        code = next((code for classes, code in EXIT_CODES if isinstance(err, classes)), 4)
+        _fail(code, str(err))
+        if isinstance(err, BadSpec):
+            print(parser.format_usage(), end="", file=sys.stderr)
+        return code
     except OSError as err:
         return _fail(3, str(err))
-    except ClassTooSmall as err:
-        return _fail(4, f"class too small for covariance: {err}")
-    except NotPositiveDefinite as err:
-        return _fail(4, f"matrix not positive definite: {err}")
-    except NoConvergence as err:
-        return _fail(4, f"iteration did not converge: {err}")
-    except (EmptyClass, Diverged, DegenerateIndex, DegenerateSeries, DegenerateTruth) as err:
-        return _fail(4, str(err))
-    except (ShapeMismatch, ModelMismatch) as err:
-        return _fail(5, str(err))
     except ValueError as err:  # the library's check on a parameter a flag set
         return _fail(2, f"bad parameter: {err}")
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -3,7 +3,9 @@
 All files are plain comma-separated ASCII text. Numbers are written with 17
 significant digits so doubles survive a round trip bit-exactly. Readers
 reject non-ASCII bytes and non-finite cells and report 1-based line numbers
-in errors.
+in errors. Each file is written to ``<path>.tmp`` and renamed onto
+``path`` only once complete, so a failed write leaves the earlier file, or
+none, behind.
 
 Each format is a table of numbers under an optional header, read and
 written by one pair of functions: a cell is any finite value Python's
@@ -20,8 +22,10 @@ Formats:
 * spectra   -- header ``class,component,value``; one row per entry.
 """
 
+import contextlib
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -46,10 +50,24 @@ _FMT = "%.17g"
 _BLOCK_ROWS = 4096  # rows formatted per write; bounds the writer's temporaries
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file at ``<path>.tmp`` that replaces ``path`` once the block completes."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _write_table(path, header, table, fmt):
     """Write ``header`` (None for none), then one ``fmt % row`` line per row."""
     line = fmt + "\n"
-    with open(path, "w", encoding="ascii") as fh:
+    with _replacing(path) as fh:
         if header is not None:
             fh.write(header + "\n")
         for start in range(0, len(table), _BLOCK_ROWS):

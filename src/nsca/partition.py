@@ -171,7 +171,7 @@ def class_covariances(record, part, weight_rule="cardinality"):
     if not isinstance(part, Partition):
         raise TypeError("class_covariances expects a Partition")
     if part.length != record.length:
-        raise ShapeMismatch("partition length must match the record")
+        raise ShapeMismatch(f"partition length {part.length} != record length {record.length}")
     if weight_rule not in ("cardinality", "uniform"):
         raise ValueError("weight_rule must be 'cardinality' or 'uniform'")
     n = record.channels

@@ -1,5 +1,6 @@
 """CSV and command-line interface tests."""
 
+import errno
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import nsca.cli
 import nsca.errors
+import nsca.io
 from nsca.cli import main
 from nsca.detectors import normalize_index
 from nsca.errors import MalformedInput
@@ -107,6 +109,40 @@ class TestWrittenBytes:
         write_record(path, rec)
         rows = ["a,b,c"] + [",".join("%.17g" % v for v in col) for col in rec.samples.T]
         assert path.read_text() == "\n".join(rows) + "\n"
+
+
+class FullAfter:
+    """A file whose writes fail with ENOSPC after the first ``n`` succeed."""
+
+    def __init__(self, fh, n):
+        self.fh, self.n = fh, n
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        if self.n == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.n -= 1
+        return self.fh.write(text)
+
+
+@pytest.mark.parametrize("earlier", [None, "x,y\n1,2\n"], ids=["new", "existing"])
+def test_failed_write_leaves_no_partial_table(tmp_path, monkeypatch, earlier):
+    # the header and the first 4096-row block are written, then the disk fills
+    path = tmp_path / "rec.csv"
+    if earlier is not None:
+        path.write_text(earlier)
+    monkeypatch.setattr(nsca.io, "open", lambda *a, **k: FullAfter(open(*a, **k), 2),
+                        raising=False)
+    rec = Record(np.zeros((2, 10_000)), 1.0, ["x", "y"])
+    with pytest.raises(OSError):
+        write_record(path, rec)
+    assert (path.read_text() if path.exists() else None) == earlier
+    assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["rec.csv"])
 
 
 class TestMalformedInput:
@@ -522,7 +558,17 @@ class TestCliSeparate:
         short = tmp_path / "short.csv"
         write_mask(short, Partition(np.array([0] * 50 + [1] * 50)))
         assert run(["separate", "--record", synth_dir / "record.csv",
-                    "--mask", short, "--out-dir", tmp_path]) == 5
+                    "--mask", short, "--out-dir", tmp_path / "out"]) == 5
+        assert not (tmp_path / "out").exists()
+
+    def test_index_length_mismatch_is_shape_error(self, synth_dir, tmp_path):
+        # a flat index cannot be thresholded (exit 4), so exit 5 shows that
+        # its length is checked before it is partitioned
+        short = tmp_path / "short.csv"
+        write_index(short, IndexSeries(np.ones(100), 0, "flat"))
+        assert run(["separate", "--record", synth_dir / "record.csv",
+                    "--index", short, "--out-dir", tmp_path / "out"]) == 5
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliEval:
@@ -596,6 +642,10 @@ class TestCliExitCodes:
         "ecg-rate-inf": "synth --n 2 --t 1000 --sources gaussian,ecg:inf:0.05",
         "ecg-rate-1e300": "synth --n 2 --t 1000 --sources gaussian,ecg:1e300:0.05",
         "ecg-rate-nan": "synth --n 2 --t 1000 --sources gaussian,ecg:nan:0.05",
+        "eval-index-without-truth-mask": "eval --est {record} --truth {record} --index {index}",
+        # the usage error comes before any file is read
+        "eval-est-mask-without-truth-mask":
+            "eval --est {mask}.missing --truth {mask}.missing --est-mask {mask}",
     }
 
     @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
@@ -604,7 +654,8 @@ class TestCliExitCodes:
         argv = self.OUT_OF_RANGE[case].format(
             record=synth_dir / "record.csv", mask=synth_dir / "mask.csv", index=envelope_csv)
         out = tmp_path / "out"
-        assert run(argv.split() + ["--out-dir", out]) == 2
+        out_dir = [] if argv.startswith("eval") else ["--out-dir", out]  # eval writes no file
+        assert run(argv.split() + out_dir) == 2
         err = capsys.readouterr().err
         assert sum(line.startswith("nsca: ") for line in err.splitlines()) == 1
         assert "Traceback" not in err
@@ -634,4 +685,6 @@ class TestCliExitCodes:
 
         monkeypatch.setattr(nsca.cli, "cmd_eval", fail)
         assert run(["eval", "--est", "e.csv", "--truth", "t.csv"]) == self.EXIT_CODES[name]
-        assert "nsca: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert sum(line.startswith("nsca: ") for line in err.splitlines()) == 1
+        assert ("usage: nsca" in err) == (name == "BadSpec")

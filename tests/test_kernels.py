@@ -10,6 +10,9 @@ is the per-step loop it replaced.
 
 import functools
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -164,3 +167,13 @@ def test_easi_scan_matches_reference(data, n, nonlin, T):
     if k is not None and k < T:
         xt = broken_at(xt, k, data.draw(st.sampled_from(["spike", "nan"])), nonlin)
     assert_easi_matches_reference(xt, nonlin)
+
+
+def test_kernel_bench_runs():
+    # the timing harness calls every kernel by signature and checks each status
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    bench = os.path.join(root, "benchmarks", "bench_kernels.py")
+    proc = subprocess.run([sys.executable, bench, "--t", "3000", "--repeats", "1"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
