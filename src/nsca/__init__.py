@@ -1,105 +1,27 @@
 """Nonstationary component analysis: detector bank, hypothesis-test
 partitioning, and semi-blind source separation via class-conditional
-covariance diagonalization."""
+covariance diagonalization.
 
-from . import errors, io
-from .detectors import (
-    FittedCdf,
-    StateSpaceModel,
-    anderson_darling_index,
-    ar_tracking,
-    cumulant_tracking,
-    easi_index,
-    energy_envelope,
-    fit_ar1_state_space,
-    fit_gaussian_cdf,
-    kalman_innovation_index,
-    normalize_index,
-    normalized_innovations,
-    prewhiten,
-    reference_trigger_index,
-)
-from .linalg import (
-    EigPair,
-    SymMatrix,
-    ajd,
-    amari_index,
-    cholesky,
-    gevd,
-    off_diag_residual,
-    sym_eig,
-)
-from .metrics import EvalReport, eval_index_auc, eval_mask, eval_separation
-from .partition import (
-    CovarianceSet,
-    Partition,
-    class_covariances,
-    pooled_complement,
-    quantile_partition,
-    threshold_mask,
-)
-from .records import IndexSeries, Record, standardize
-from .separation import (
-    ClassComponentMap,
-    SeparationResult,
-    apply_separation,
-    eigenratio_map,
-    nsca_multi_class,
-    nsca_two_class,
-    two_round_targeted,
-)
-from .synthetic import GroundTruth, default_source_specs, gen_ecg_like, gen_mixture
+The package re-exports each layer module's ``__all__``, so every public
+name is listed once, in the module that defines it.
+"""
+
+from . import detectors, errors, io, linalg, metrics, partition, records, separation, synthetic
+from .linalg import *
+from .records import *
+from .detectors import *
+from .partition import *
+from .separation import *
+from .synthetic import *
+from .metrics import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "errors",
-    "io",
-    "SymMatrix",
-    "EigPair",
-    "cholesky",
-    "sym_eig",
-    "gevd",
-    "ajd",
-    "off_diag_residual",
-    "amari_index",
-    "Record",
-    "IndexSeries",
-    "standardize",
-    "FittedCdf",
-    "StateSpaceModel",
-    "fit_gaussian_cdf",
-    "anderson_darling_index",
-    "energy_envelope",
-    "cumulant_tracking",
-    "prewhiten",
-    "easi_index",
-    "ar_tracking",
-    "normalized_innovations",
-    "kalman_innovation_index",
-    "fit_ar1_state_space",
-    "reference_trigger_index",
-    "normalize_index",
-    "Partition",
-    "CovarianceSet",
-    "threshold_mask",
-    "quantile_partition",
-    "class_covariances",
-    "pooled_complement",
-    "SeparationResult",
-    "ClassComponentMap",
-    "apply_separation",
-    "nsca_two_class",
-    "nsca_multi_class",
-    "eigenratio_map",
-    "two_round_targeted",
-    "GroundTruth",
-    "gen_mixture",
-    "gen_ecg_like",
-    "default_source_specs",
-    "EvalReport",
-    "eval_separation",
-    "eval_mask",
-    "eval_index_auc",
-    "__version__",
-]
+__all__ = ["errors", "io", "__version__"]
+__all__ += linalg.__all__
+__all__ += records.__all__
+__all__ += detectors.__all__
+__all__ += partition.__all__
+__all__ += separation.__all__
+__all__ += synthetic.__all__
+__all__ += metrics.__all__

@@ -11,9 +11,11 @@ Every subcommand is deterministic given identical flags, inputs and seed.
 ``NSCA_SEED`` overrides ``--seed`` when set. Exit codes: 0 ok, 2 usage
 (a flag value out of range included), 3 unreadable/malformed input,
 4 numeric or model failure (every other nsca error), 5 shape mismatch.
-``eval --est-mask`` and ``eval --index`` are scored against ``--truth-mask``
-and are a usage error without it. An output file is replaced only once it is
-completely written.
+``separate`` forms classes from one of ``--mask``, ``--index`` and
+``--two-round`` and rejects a class flag that path would ignore (``--mask``
+takes none of them). ``eval`` scores ``--est-mask`` and ``--index`` against
+``--truth-mask``; either side without the other is a usage error. An output
+file is replaced only once it is completely written.
 
 The scalar detectors (distribution, envelope, cumulant, AR drift) read the
 designated reference channel; the adaptive-separation index consumes the
@@ -195,10 +197,30 @@ def cmd_detect(args):
 # separate
 # ---------------------------------------------------------------------------
 
+def _check_class_flags(args):
+    """BadSpec for a given class flag that the chosen way of forming classes ignores."""
+    if args.two_round:
+        mode, reads = "--two-round", ("--theta", "--target")
+    elif args.mask is not None:
+        mode, reads = "--mask", ()
+    elif args.quantiles is not None:
+        mode, reads = "--quantiles", ("--quantiles",)
+    else:
+        mode, reads = "--index", ("--theta", "--min-event-len")
+    ignored = [flag for flag in ("--theta", "--min-event-len", "--quantiles", "--target")
+               if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None]
+    if ignored:
+        raise BadSpec(f"{mode} does not take {', '.join(ignored)}")
+    if args.two_round and args.target is None:
+        raise BadSpec("--two-round needs --target")
+
+
+def _given(**flags):
+    """The keyword arguments whose flag was given; the rest keep the library default."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _build_partition(args, record):
-    given = sum(x is not None for x in (args.mask, args.index))
-    if given != 1:
-        raise BadSpec("separate needs exactly one of --mask or --index")
     if args.mask is not None:
         return io.read_mask(args.mask)
     idx = io.read_index(args.index)
@@ -206,17 +228,16 @@ def _build_partition(args, record):
         raise ShapeMismatch(f"index length {idx.length} != record length {record.length}")
     if args.quantiles is not None:
         return quantile_partition(idx, args.quantiles)
-    return threshold_mask(idx, args.theta, args.min_event_len)
+    return threshold_mask(idx, **_given(theta_rel=args.theta, min_event_len=args.min_event_len))
 
 
 def cmd_separate(args):
+    _check_class_flags(args)
     record = io.read_record(args.record)
     if args.two_round:
-        if args.target is None:
-            raise BadSpec("--two-round needs --target")
         lags = [int(v) for v in args.lags.split(",")]
         result = two_round_targeted(record, lags, args.target, reg_eps=args.reg_eps,
-                                    round2_theta=args.theta)
+                                    **_given(round2_theta=args.theta))
         part = None
     else:
         part = _build_partition(args, record)
@@ -251,8 +272,8 @@ def cmd_separate(args):
 
 def cmd_eval(args):
     scored = args.est_mask or args.index
-    if scored and not args.truth_mask:
-        raise BadSpec("--est-mask and --index are scored against --truth-mask, which is missing")
+    if bool(scored) != bool(args.truth_mask):
+        raise BadSpec("--truth-mask goes with --est-mask or --index; each needs the other")
     est = io.read_record(args.est)
     truth_sources = io.read_record(args.truth)
     report = eval_separation(est, truth_sources)
@@ -327,15 +348,16 @@ def _build_parser():
 
     p = sub.add_parser("separate", help="estimate sources from a record and a partition")
     p.add_argument("--record", required=True)
-    p.add_argument("--mask", help="partition CSV (k,label)")
-    p.add_argument("--index", help="index CSV (k,value) to threshold or quantile-split")
-    p.add_argument("--theta", type=float, default=0.5, help="relative threshold")
-    p.add_argument("--min-event-len", type=int, default=1)
+    classes = p.add_mutually_exclusive_group(required=True)
+    classes.add_argument("--mask", help="partition CSV (k,label)")
+    classes.add_argument("--index", help="index CSV (k,value) to threshold or quantile-split")
+    classes.add_argument("--two-round", action="store_true")
+    p.add_argument("--theta", type=float, help="relative threshold")
+    p.add_argument("--min-event-len", type=int)
     p.add_argument("--quantiles", type=int, help="K-class quantile partition of --index")
     p.add_argument("--weight-rule", choices=("cardinality", "uniform"), default="cardinality")
     p.add_argument("--include-total", action="store_true")
     p.add_argument("--reg-eps", type=float, default=0.0)
-    p.add_argument("--two-round", action="store_true")
     p.add_argument("--lags", default=",".join(str(v) for v in range(1, 11)))
     p.add_argument("--target", type=int, help="round-1 component to isolate")
     p.add_argument("--emit-plot-data", action="store_true")

@@ -100,16 +100,6 @@ def _first_bad_cell(path, lines, first, width):
     raise AssertionError("no bad cell in a table that failed to parse")
 
 
-def _non_ascii(path):
-    """MalformedInput at the line of the first non-ASCII byte of ``path``."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    start = np.flatnonzero(np.frombuffer(raw, np.uint8) > 127)[0]
-    # the lines of the text before the byte, the byte's own line included
-    i = len((raw[:start].decode("ascii") + "?").splitlines())
-    return MalformedInput(f"{path}: non-ASCII byte on line {i}", line=i)
-
-
 def _read_table(path, header, checks=()):
     """Parse a CSV table -> (header cells, rows x columns float64 array).
 
@@ -120,11 +110,14 @@ def _read_table(path, header, checks=()):
     parsed in one pass; only when that fails is it scanned line by line to
     locate the bad cell, and the checks then see NaN from that line on.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError:
-        raise _non_ascii(path) from None
+        lines = raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as err:
+        # the lines of the text before the byte, the byte's own line included
+        i = len((raw[:err.start].decode("ascii") + "?").splitlines())
+        raise MalformedInput(f"{path}: non-ASCII byte on line {i}", line=i) from None
     if isinstance(header, str):
         if not lines or lines[0].strip() != header:
             raise MalformedInput(f"{path}: expected {header!r} header", line=1)
@@ -190,9 +183,9 @@ def write_index(path, idx):
     _write_table(path, "k,value", table, "%d," + _FMT)
 
 
-def read_index(path, name="index"):
+def read_index(path):
     _, table = _read_table(path, "k,value", [_K_RUNS])
-    return IndexSeries(table[:, 1], valid_from=0, name=name)
+    return IndexSeries(table[:, 1], valid_from=0, name="index")
 
 
 def write_mask(path, part):

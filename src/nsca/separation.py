@@ -215,15 +215,7 @@ def _lagged_covariances(X, lags):
     return out
 
 
-def two_round_targeted(
-    record,
-    lags,
-    target_component,
-    reg_eps=0.0,
-    round2_theta=0.5,
-    envelope_window=101,
-    min_event_len=1,
-):
+def two_round_targeted(record, lags, target_component, reg_eps=0.0, round2_theta=0.5):
     """Blind second-order separation refined by a targeted two-class round.
 
     Round 1 jointly diagonalizes the symmetrized lagged covariances
@@ -256,8 +248,8 @@ def two_round_targeted(
     mats = _lagged_covariances(X, lags)
     W1, residual1 = ajd(mats, whitener=total, reg_eps=reg_eps)
     y1 = W1.T @ record.samples
-    env = energy_envelope(y1[target], envelope_window)
-    mask = threshold_mask(env, round2_theta, min_event_len)
+    env = energy_envelope(y1[target])
+    mask = threshold_mask(env, round2_theta)
     result = nsca_two_class(record, mask, reg_eps=reg_eps)
     result.diagnostics.update(
         round1_demixer=W1,

@@ -543,6 +543,15 @@ class TestCliSeparate:
         assert run(["separate", "--record", synth_dir / "record.csv",
                     "--index", d / "flat.csv", "--theta", 1.0, "--out-dir", tmp_path]) == 4
 
+    def test_left_out_flags_keep_the_library_defaults(self, synth_dir, envelope_csv, tmp_path):
+        outs = tmp_path / "given", tmp_path / "left-out"
+        flags = ["--theta", 0.5, "--min-event-len", 1], []
+        for out, given in zip(outs, flags):
+            assert run(["separate", "--record", synth_dir / "record.csv", "--index", envelope_csv,
+                        *given, "--out-dir", out]) == 0
+        for name in ("demixer.csv", "diagnostics.txt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_two_round_requires_target(self, synth_dir, tmp_path):
         assert run(["separate", "--record", synth_dir / "record.csv",
                     "--two-round", "--out-dir", tmp_path]) == 2
@@ -646,6 +655,17 @@ class TestCliExitCodes:
         # the usage error comes before any file is read
         "eval-est-mask-without-truth-mask":
             "eval --est {mask}.missing --truth {mask}.missing --est-mask {mask}",
+        "eval-truth-mask-alone":
+            "eval --est {mask}.missing --truth {mask}.missing --truth-mask {mask}",
+        # a class flag the chosen partition would ignore
+        "mask-with-quantiles": "separate --record {record} --mask {mask} --quantiles 3",
+        "mask-with-theta": "separate --record {record} --mask {mask} --theta 0.4",
+        "mask-with-min-event-len": "separate --record {record} --mask {mask} --min-event-len 3",
+        "mask-with-target": "separate --record {record} --mask {mask} --target 0",
+        "quantiles-with-theta":
+            "separate --record {record} --index {index} --quantiles 3 --theta 0.4",
+        "two-round-with-min-event-len":
+            "separate --record {record} --two-round --target 0 --min-event-len 3",
     }
 
     @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
@@ -659,6 +679,23 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert sum(line.startswith("nsca: ") for line in err.splitlines()) == 1
         assert "Traceback" not in err
+        assert not out.exists()
+
+    # separate forms its classes from exactly one of --mask, --index and --two-round
+    CLASS_SOURCES = {
+        "none": "",
+        "mask-and-index": "--mask {mask} --index {index}",
+        "mask-and-two-round": "--mask {mask} --two-round --target 0",
+        "index-and-two-round": "--index {index} --two-round --target 0",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CLASS_SOURCES))
+    def test_one_class_source(self, case, synth_dir, envelope_csv, tmp_path, capsys):
+        flags = self.CLASS_SOURCES[case].format(mask=synth_dir / "mask.csv", index=envelope_csv)
+        out = tmp_path / "out"
+        argv = ["separate", "--record", synth_dir / "record.csv", *flags.split(), "--out-dir", out]
+        assert run(argv) == 2
+        assert "nsca separate: error: " in capsys.readouterr().err
         assert not out.exists()
 
     # the exit code the cli docstring lists for each failure
