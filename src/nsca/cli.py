@@ -12,10 +12,12 @@ Every subcommand is deterministic given identical flags, inputs and seed.
 (a flag value out of range included), 3 unreadable/malformed input,
 4 numeric or model failure (every other nsca error), 5 shape mismatch.
 ``separate`` forms classes from one of ``--mask``, ``--index`` and
-``--two-round`` and rejects a class flag that path would ignore (``--mask``
-takes none of them). ``eval`` scores ``--est-mask`` and ``--index`` against
-``--truth-mask``; either side without the other is a usage error. An output
-file is replaced only once it is completely written.
+``--two-round`` and rejects a flag that path would ignore: ``--mask`` takes
+no class flag, ``--two-round`` takes no weighting flag, only ``--two-round``
+takes ``--lags``, and a 2-class partition does not take ``--include-total``.
+``eval`` scores ``--est-mask`` and ``--index`` against ``--truth-mask``;
+either side without the other is a usage error. An output file is replaced
+only once it is completely written.
 
 The scalar detectors (distribution, envelope, cumulant, AR drift) read the
 designated reference channel; the adaptive-separation index consumes the
@@ -198,16 +200,18 @@ def cmd_detect(args):
 # ---------------------------------------------------------------------------
 
 def _check_class_flags(args):
-    """BadSpec for a given class flag that the chosen way of forming classes ignores."""
+    """BadSpec for a given flag that the chosen way of forming classes ignores."""
+    weighting = ("--weight-rule", "--include-total")
     if args.two_round:
-        mode, reads = "--two-round", ("--theta", "--target")
+        mode, reads = "--two-round", ("--theta", "--target", "--lags")
     elif args.mask is not None:
-        mode, reads = "--mask", ()
+        mode, reads = "--mask", weighting
     elif args.quantiles is not None:
-        mode, reads = "--quantiles", ("--quantiles",)
+        mode, reads = "--quantiles", ("--quantiles", *weighting)
     else:
-        mode, reads = "--index", ("--theta", "--min-event-len")
-    ignored = [flag for flag in ("--theta", "--min-event-len", "--quantiles", "--target")
+        mode, reads = "--index", ("--theta", "--min-event-len", *weighting)
+    ignored = [flag for flag in ("--theta", "--min-event-len", "--quantiles", "--target",
+                                 "--lags", *weighting)
                if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None]
     if ignored:
         raise BadSpec(f"{mode} does not take {', '.join(ignored)}")
@@ -235,18 +239,19 @@ def cmd_separate(args):
     _check_class_flags(args)
     record = io.read_record(args.record)
     if args.two_round:
-        lags = [int(v) for v in args.lags.split(",")]
+        lags = range(1, 11) if args.lags is None else [int(v) for v in args.lags.split(",")]
         result = two_round_targeted(record, lags, args.target, reg_eps=args.reg_eps,
                                     **_given(round2_theta=args.theta))
         part = None
     else:
         part = _build_partition(args, record)
+        weighting = _given(weight_rule=args.weight_rule, include_total=args.include_total)
         if part.K == 2:
-            result = nsca_two_class(record, part, reg_eps=args.reg_eps,
-                                    weight_rule=args.weight_rule)
+            if args.include_total:
+                raise BadSpec("a 2-class partition does not take --include-total")
+            result = nsca_two_class(record, part, reg_eps=args.reg_eps, **weighting)
         else:
-            result = nsca_multi_class(record, part, include_total=args.include_total,
-                                      weight_rule=args.weight_rule, reg_eps=args.reg_eps)
+            result = nsca_multi_class(record, part, reg_eps=args.reg_eps, **weighting)
     io.write_matrix(_out_path(args, "demixer.csv"), result.demixer)
     io.write_record(_out_path(args, "est_sources.csv"), result.sources)
     io.write_spectra(_out_path(args, "spectra.csv"), result.spectra)
@@ -355,10 +360,10 @@ def _build_parser():
     p.add_argument("--theta", type=float, help="relative threshold")
     p.add_argument("--min-event-len", type=int)
     p.add_argument("--quantiles", type=int, help="K-class quantile partition of --index")
-    p.add_argument("--weight-rule", choices=("cardinality", "uniform"), default="cardinality")
-    p.add_argument("--include-total", action="store_true")
+    p.add_argument("--weight-rule", choices=("cardinality", "uniform"))
+    p.add_argument("--include-total", action="store_true", default=None)
     p.add_argument("--reg-eps", type=float, default=0.0)
-    p.add_argument("--lags", default=",".join(str(v) for v in range(1, 11)))
+    p.add_argument("--lags", help="comma-separated round-1 lags (default 1,2,...,10)")
     p.add_argument("--target", type=int, help="round-1 component to isolate")
     p.add_argument("--emit-plot-data", action="store_true")
     p.add_argument("--out-dir", default=".")

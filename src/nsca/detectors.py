@@ -6,7 +6,7 @@ local statistics disagree with a stationary reference. Detectors differ in
 what they are sensitive to:
 
 * ``anderson_darling_index`` -- distributional drift against a fitted Gaussian;
-* ``energy_envelope`` / ``reference_trigger_index`` -- local power;
+* ``energy_envelope`` -- local power;
 * ``cumulant_tracking`` -- drift of one sample cumulant (mean, variance,
   third moment, excess-kurtosis numerator);
 * ``easi_index`` -- norm of the relative-gradient update of an adaptive
@@ -28,7 +28,6 @@ from scipy.special import ndtr
 
 from . import _kernels
 from .errors import (
-    BadChannel,
     DegenerateSeries,
     Diverged,
     InvalidWindow,
@@ -52,7 +51,6 @@ __all__ = [
     "normalized_innovations",
     "kalman_innovation_index",
     "fit_ar1_state_space",
-    "reference_trigger_index",
     "normalize_index",
     "DEFAULT_AD_WINDOW",
     "DEFAULT_ENVELOPE_WINDOW",
@@ -129,7 +127,10 @@ def anderson_darling_index(series, window=DEFAULT_AD_WINDOW, cdf=None):
 
     with ``F`` the reference CDF, clamped to [1e-12, 1 - 1e-12] before the
     logs. The statistic is invariant under affine maps applied jointly to the
-    series and the reference fit.
+    series and the reference fit. The windows run in blocks of
+    ``_kernels._AD_BLOCK``, so working memory is O(``_AD_BLOCK`` * p), not
+    O(len(series) * p), and at window lengths up to 112 the output does not
+    depend on the BLAS thread count.
 
     Parameters
     ----------
@@ -514,23 +515,8 @@ def fit_ar1_state_space(record, obs_noise_frac=1e-3):
 
 
 # ---------------------------------------------------------------------------
-# Reference-channel trigger and normalization
+# Normalization
 # ---------------------------------------------------------------------------
-
-def reference_trigger_index(record, ref_channel=0, window=DEFAULT_ENVELOPE_WINDOW):
-    """Energy envelope of a designated reference channel."""
-    record = as_record(record)
-    ch = int(ref_channel)
-    if not 0 <= ch < record.channels:
-        raise BadChannel(f"channel {ch} outside [0, {record.channels})")
-    idx = energy_envelope(record.channel(ch), window)
-    return IndexSeries(
-        idx.values,
-        valid_from=idx.valid_from,
-        name=f"reference_ch{ch}",
-        meta={"window": int(window), "channel": ch},
-    )
-
 
 def normalize_index(idx):
     """Scale an index so its largest valid magnitude is 1 (no-op on all-zero)."""

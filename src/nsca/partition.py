@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BadClass,
     ClassTooSmall,
     DegenerateIndex,
     EmptyClass,
@@ -26,7 +25,6 @@ __all__ = [
     "threshold_mask",
     "quantile_partition",
     "class_covariances",
-    "pooled_complement",
 ]
 
 
@@ -196,16 +194,3 @@ def class_covariances(record, part, weight_rule="cardinality"):
         total=total,
         total_mean=total_mean,
     )
-
-
-def pooled_complement(covset, j):
-    """Weighted covariance of everything except class ``j``:
-    ``sum_{i != j} w_i C_i``."""
-    if not 0 <= j < covset.K:
-        raise BadClass(f"class {j} outside [0, {covset.K})")
-    n = covset.dim
-    acc = np.zeros((n, n))
-    for i in range(covset.K):
-        if i != j:
-            acc += covset.weights[i] * covset.covs[i].entries
-    return SymMatrix(acc)

@@ -17,9 +17,10 @@ from nsca.detectors import (
     fit_gaussian_cdf,
     normalize_index,
     prewhiten,
-    reference_trigger_index,
 )
-from nsca.errors import BadChannel, DegenerateSeries, Diverged, InvalidWindow
+from nsca.cli import main
+from nsca.errors import DegenerateSeries, Diverged, InvalidWindow
+from nsca.io import read_index, write_record
 from nsca.records import IndexSeries, Record, standardize
 
 STD_NORMAL = FittedCdf(mean=0.0, std=1.0)
@@ -293,22 +294,30 @@ class TestArTracking:
 
 
 class TestReferenceTrigger:
+    # the reference-channel trigger is the envelope of one channel, as
+    # `detect --detectors envelope --ref-channel ch` writes it
     def test_constant_reference(self):
         rec = Record(np.vstack([np.full(40, 2.0), np.zeros(40)]))
-        idx = reference_trigger_index(rec, ref_channel=0, window=5)
+        idx = energy_envelope(rec.channel(0), window=5)
         assert np.allclose(idx.values, 4.0)
 
-    def test_matches_envelope_of_channel(self):
+    def test_matches_envelope_of_channel(self, tmp_path):
         rng = np.random.default_rng(13)
         rec = Record(rng.normal(size=(3, 400)))
-        idx = reference_trigger_index(rec, ref_channel=2, window=31)
+        write_record(tmp_path / "rec.csv", rec)
+        assert main(["detect", "--record", str(tmp_path / "rec.csv"), "--detectors", "envelope",
+                     "--ref-channel", "2", "--envelope-window", "31",
+                     "--out-dir", str(tmp_path)]) == 0
         env = energy_envelope(rec.channel(2), window=31)
-        assert np.array_equal(idx.values, env.values)
+        assert np.array_equal(read_index(tmp_path / "envelope.csv").values, env.values)
 
-    def test_channel_out_of_range(self):
-        rec = Record(np.ones((2, 50)))
-        with pytest.raises(BadChannel):
-            reference_trigger_index(rec, ref_channel=2, window=5)
+    def test_channel_out_of_range(self, tmp_path, capsys):
+        write_record(tmp_path / "rec.csv", Record(np.ones((2, 50))))
+        out = tmp_path / "out"
+        assert main(["detect", "--record", str(tmp_path / "rec.csv"), "--detectors", "envelope",
+                     "--ref-channel", "2", "--out-dir", str(out)]) == 2
+        assert "reference channel 2 out of range" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNormalizeIndex:
@@ -361,7 +370,7 @@ def test_every_index_is_finite_past_warmup(seed):
         cumulant_tracking(x, window=64, order=4),
         ar_tracking(x, window=64, ar_order=3),
         easi_index(standardize(rec), step=0.001),
-        reference_trigger_index(rec, 0, window=15),
+        energy_envelope(rec.channel(0), window=15),
     ]
     for idx in series:
         assert np.isfinite(idx.valid_values()).all(), idx.name

@@ -552,6 +552,30 @@ class TestCliSeparate:
         for name in ("demixer.csv", "diagnostics.txt"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    # each flag given at its library default, against the same command without it
+    AT_DEFAULT = {
+        "weight-rule": ("--index {index} --quantiles 3", "--weight-rule cardinality"),
+        "lags": ("--two-round --target 0", "--lags 1,2,3,4,5,6,7,8,9,10"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(AT_DEFAULT))
+    def test_left_out_flag_is_the_library_default(self, case, synth_dir, envelope_csv, tmp_path):
+        path, flag = self.AT_DEFAULT[case]
+        outs = tmp_path / "given", tmp_path / "left-out"
+        for out, given in zip(outs, (flag.split(), [])):
+            assert run(["separate", "--record", synth_dir / "record.csv",
+                        *path.format(index=envelope_csv).split(), *given, "--out-dir", out]) == 0
+        for name in ("demixer.csv", "diagnostics.txt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_include_total_on_a_multi_class_partition(self, synth_dir, envelope_csv, tmp_path):
+        outs = tmp_path / "with", tmp_path / "without"
+        for out, given in zip(outs, (["--include-total"], [])):
+            assert run(["separate", "--record", synth_dir / "record.csv", "--index", envelope_csv,
+                        "--quantiles", 3, *given, "--out-dir", out]) == 0
+        texts = [(out / "diagnostics.txt").read_text() for out in outs]
+        assert texts[0] != texts[1]
+
     def test_two_round_requires_target(self, synth_dir, tmp_path):
         assert run(["separate", "--record", synth_dir / "record.csv",
                     "--two-round", "--out-dir", tmp_path]) == 2
@@ -666,6 +690,18 @@ class TestCliExitCodes:
             "separate --record {record} --index {index} --quantiles 3 --theta 0.4",
         "two-round-with-min-event-len":
             "separate --record {record} --two-round --target 0 --min-event-len 3",
+        # a flag with a library default that the chosen path would ignore
+        "two-round-with-weight-rule":
+            "separate --record {record} --two-round --target 0 --weight-rule uniform",
+        "two-round-with-include-total":
+            "separate --record {record} --two-round --target 0 --include-total",
+        "index-with-lags": "separate --record {record} --index {index} --lags 1,2",
+        "mask-with-lags": "separate --record {record} --mask {mask} --lags 1,2",
+        # checked once the partition is built, before any write
+        "two-class-index-with-include-total":
+            "separate --record {record} --index {index} --include-total",
+        "two-class-mask-with-include-total":
+            "separate --record {record} --mask {mask} --include-total",
     }
 
     @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))

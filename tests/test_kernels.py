@@ -1,11 +1,12 @@
 """The vectorized kernels against step-by-step references.
 
-``ar_sliding`` and ``ad_sliding`` compute every window at once from running
-sums and a strided view. Here a few windows are recomputed one at a time, by
-a Toeplitz solve of the window's autocovariances and by the direct
-Anderson-Darling sum over the sorted window. ``easi_scan`` runs a fused
-rank-2 step and checks its index and cap once per block; ``easi_reference``
-is the per-step loop it replaced.
+``ar_sliding`` computes every window at once from running sums, and
+``ad_sliding`` runs a strided view of the windows in blocks of
+``_AD_BLOCK``. Here windows are recomputed one at a time, by a Toeplitz solve
+of the window's autocovariances and by the direct Anderson-Darling sum over
+the sorted window. ``easi_scan`` runs a fused rank-2 step and checks its
+index and cap once per block; ``easi_reference`` is the per-step loop it
+replaced.
 """
 
 import functools
@@ -13,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_toeplitz
+from scipy.special import ndtr
 
 from nsca import _kernels
 from nsca.cli import CLI_EASI_STEP
@@ -72,6 +75,58 @@ class TestAdSliding:
         for k in (p - 1, 300, 300 + p - 1, x.size - 1):
             ref = window_ad(x[k - p + 1 : k + 1], mu, sigma, fmin)
             assert out[k] == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+def window_ad_fsum(win, mu, sigma, fmin):
+    # the kernel's terms for one window, summed with a single rounding
+    p = win.size
+    F = np.clip(ndtr((np.sort(win) - mu) / sigma), fmin, 1.0 - fmin)
+    w = 2.0 * np.arange(1, p + 1) - 1.0
+    return -p - math.fsum(np.concatenate([w * np.log(F), w[::-1] * np.log1p(-F)])) / p
+
+
+AD_BLOCK = _kernels._AD_BLOCK
+
+
+class TestAdBlocks:
+    @pytest.mark.parametrize("p", [1, 2, 64])
+    @pytest.mark.parametrize("windows", [AD_BLOCK - 1, AD_BLOCK, AD_BLOCK + 1, 2 * AD_BLOCK + 7])
+    def test_every_window_matches_direct_sum(self, windows, p):
+        x = np.random.default_rng(windows + p).normal(size=windows + p - 1)
+        mu, sigma, fmin = 0.1, 1.1, 1e-12
+        out = _kernels.ad_sliding(x, p, mu, sigma, fmin)
+        assert not out[: p - 1].any()
+        ref = [window_ad_fsum(x[k : k + p], mu, sigma, fmin) for k in range(windows)]
+        # A^2 is -p minus a sum of size about p, so its rounding scales with p
+        np.testing.assert_allclose(out[p - 1 :], ref, rtol=1e-13, atol=1e-13 * p)
+
+    def test_same_bytes_under_one_and_two_blas_threads(self):
+        # One product over all windows differed in one row between thread
+        # counts for about one series in six, so eight series are hashed.
+        code = ("import hashlib, numpy as np; from nsca import _kernels; h = hashlib.sha256()\n"
+                "for seed in range(8):\n"
+                "    x = np.random.default_rng(seed).normal(size=100_000)\n"
+                "    h.update(_kernels.ad_sliding(x, 64, 0.0, 1.0, 1e-12).tobytes())\n"
+                "print(h.hexdigest())")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True,
+                                  env=dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                                           OPENBLAS_NUM_THREADS=threads))
+                 for threads in ("1", "2")]
+        outs = [proc.communicate(timeout=120) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], outs
+        assert outs[0][0] == outs[1][0]
+
+    def test_working_memory_is_bounded_by_the_block(self):
+        x = np.random.default_rng(3).normal(size=100_000)
+        tracemalloc.start()
+        try:
+            _kernels.ad_sliding(x, 64, 0.0, 1.0, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6  # all windows at once traced about 200 MB
 
 
 def easi_reference(xt, lam, nonlin, cap):

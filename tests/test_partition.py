@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from nsca.errors import BadClass, ClassTooSmall, DegenerateIndex, EmptyClass, ShapeMismatch
-from nsca.linalg import SymMatrix, sym_eig
+from nsca.errors import ClassTooSmall, DegenerateIndex, EmptyClass, ShapeMismatch
+from nsca.linalg import sym_eig
 from nsca.partition import (
     Partition,
     class_covariances,
-    pooled_complement,
     quantile_partition,
     threshold_mask,
 )
@@ -177,42 +176,3 @@ class TestClassCovariances:
         rec = Record(np.ones((2, 30)))
         with pytest.raises(ShapeMismatch):
             class_covariances(rec, Partition(np.zeros(20, dtype=int)))
-
-
-class TestPooledComplement:
-    def test_two_class_identity_case(self):
-        cs_weights = np.array([0.5, 0.5])
-        covset = _covset([np.eye(2), 3.0 * np.eye(2)], cs_weights)
-        out = pooled_complement(covset, 1)
-        assert np.allclose(out.entries, 0.5 * np.eye(2))
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(8)
-        mats = []
-        for _ in range(3):
-            A = rng.normal(size=(3, 3))
-            mats.append(A @ A.T)
-        w = rng.uniform(0.1, 1.0, size=3)
-        covset = _covset(mats, w)
-        for j in range(3):
-            expect = sum(w[i] * mats[i] for i in range(3) if i != j)
-            assert np.allclose(pooled_complement(covset, j).entries, expect)
-
-    def test_class_out_of_range(self):
-        covset = _covset([np.eye(2), np.eye(2)], np.array([0.5, 0.5]))
-        with pytest.raises(BadClass):
-            pooled_complement(covset, 2)
-
-
-def _covset(mats, weights):
-    from nsca.partition import CovarianceSet
-
-    n = mats[0].shape[0]
-    return CovarianceSet(
-        covs=tuple(SymMatrix(m) for m in mats),
-        means=np.zeros((len(mats), n)),
-        weights=np.asarray(weights, dtype=float),
-        counts=np.full(len(mats), 100),
-        total=SymMatrix(sum(mats)),
-        total_mean=np.zeros(n),
-    )

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsca
-from nsca.detectors import reference_trigger_index
+from nsca.detectors import energy_envelope
 from nsca.errors import BadSpec
 from nsca.metrics import eval_index_auc
 from nsca.synthetic import (
@@ -98,7 +98,7 @@ class TestGenMixture:
         # no burst energy: the source is silent and any index is chance-level
         rec, truth = gen_mixture(4, 10_000, dict(BURST, amplitude=0.0), seed=7)
         assert np.all(truth.sources.samples[-1] == 0.0)
-        auc = eval_index_auc(reference_trigger_index(rec, 0, 101), truth.burst_mask)
+        auc = eval_index_auc(energy_envelope(rec.channel(0), 101), truth.burst_mask)
         assert abs(auc - 0.5) <= 0.1
 
     def test_identity_mixing_hook(self):
