@@ -8,10 +8,12 @@ Every case checks the status or convergence flag its kernel returns: the
 scans must run all T steps and the solvers must converge, so no row times an
 early exit. The script exits non-zero if any case fails that check. The
 eigensolver row times LAPACK ``eigh`` through ``_kernels.jacobi_eig``, which
-keeps its old name. The EASI cases run the cubic and the tanh nonlinearity
-on a prewhitened generator record at the CLI step (1e-4); the Kalman cases
-run a unit-noise model and a `fit_ar1_state_space` model of a generator
-record, where the scan switches to the steady-state gain.
+keeps its old name. The Anderson-Darling cases run the default window (64,
+blocks of 4096 windows) and a window of 200, whose blocks are shorter. The
+EASI cases run the cubic and the tanh nonlinearity on a prewhitened
+generator record at the CLI step (1e-4); the Kalman cases run a unit-noise
+model and a `fit_ar1_state_space` model of a generator record, where the
+scan switches to the steady-state gain.
 
 Usage: python3 benchmarks/bench_kernels.py [--t 20000] [--repeats 5]
 """
@@ -100,6 +102,7 @@ def build_cases(T):
         ("LAPACK eigh 8x8", "jacobi_eig", lambda f: f(S), ok_converged),
         ("ajd_rotate K=6 n=8", "ajd_rotate", lambda f: f(M.copy(), weights, 200, 1e-10), ok_converged),
         (f"ad_sliding T={T} p=64", "ad_sliding", lambda f: f(x, 64, 0.0, 1.0, 1e-12), ok_finite),
+        (f"ad_sliding T={T} p=200", "ad_sliding", lambda f: f(x, 200, 0.0, 1.0, 1e-12), ok_finite),
         (f"easi_scan cubic T={T} n={m}", "easi_scan", lambda f: f(white, CLI_EASI_STEP, 0, 1e6), ok_status),
         (f"easi_scan tanh T={T} n={m}", "easi_scan", lambda f: f(white, CLI_EASI_STEP, 1, 1e6), ok_status),
         (f"kalman_scan T={T} n={m}", "kalman_scan", lambda f: f(xt, F, H, Qm, Rm, x0, P0), ok_status),

@@ -119,13 +119,15 @@ def ajd_rotate(M, w, max_sweeps, angle_tol):
 # Sliding-window Anderson-Darling statistic against a fitted Gaussian
 # ---------------------------------------------------------------------------
 #
-# The windows run in blocks of _AD_BLOCK, so working memory is
-# O(_AD_BLOCK * p), not O(T * p). OpenBLAS splits a product over all windows
-# across threads, and the row at the split takes another kernel path; a
-# block's products stay below its threading threshold (OpenBLAS 0.3.31, p up
-# to 112, default 64), so the output does not depend on the thread count.
+# The windows run in blocks of max(1, _AD_BLOCK_ELEMS // p) windows, so
+# working memory is O(_AD_BLOCK_ELEMS + p), not O(T * p). OpenBLAS splits a
+# product over all windows across threads, and the row at the split takes
+# another kernel path. A block's products stay below its threading threshold
+# (OpenBLAS 0.3.31), so the output does not depend on the thread count, up to
+# p = 10000: above that a block of one window is a dot product, which OpenBLAS
+# threads. At the default p of 64 a block is 4096 windows.
 
-_AD_BLOCK = 4096
+_AD_BLOCK_ELEMS = 4096 * 64
 
 
 def ad_sliding(x, p, mu, sigma, fmin):
@@ -135,12 +137,13 @@ def ad_sliding(x, p, mu, sigma, fmin):
     w_fwd = 2.0 * i - 1.0
     # sum_i (2i-1) log(1 - F(z_{p+1-i})) re-indexed onto ascending order
     w_rev = 2.0 * (p - i + 1.0) - 1.0
-    for a in range(0, win.shape[0], _AD_BLOCK):
-        z = np.sort(win[a:a + _AD_BLOCK], axis=1)
+    block = max(1, _AD_BLOCK_ELEMS // p)
+    for a in range(0, win.shape[0], block):
+        z = np.sort(win[a:a + block], axis=1)
         F = ndtr((z - mu) / sigma)
         np.clip(F, fmin, 1.0 - fmin, out=F)
         acc = np.log(F) @ w_fwd + np.log1p(-F) @ w_rev
-        out[p - 1:][a:a + _AD_BLOCK] = -p - acc / p
+        out[p - 1:][a:a + block] = -p - acc / p
     return out
 
 

@@ -47,7 +47,6 @@ from .detectors import (
     energy_envelope,
     fit_ar1_state_space,
     kalman_innovation_index,
-    normalize_index,
     prewhiten,
 )
 from .errors import (
@@ -83,8 +82,6 @@ DEFAULT_DETECTORS = ("ad", "envelope", "easi", "innovation")
 CLI_EASI_STEP = 1e-4
 CLI_EASI_G = "cubic"
 
-PLOT_POINTS = 2000
-
 # The exit code of each error class; every other NscaError is a numeric or
 # model failure and exits 4.
 EXIT_CODES = (
@@ -112,15 +109,6 @@ def _resolve_seed(args):
 def _out_path(args, name):
     os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
-
-
-def _write_plot(args, name, labels, series):
-    """About PLOT_POINTS evenly spaced samples of each series, as k,<labels> rows."""
-    length = len(series[0])
-    ks = np.arange(0, length, max(1, length // PLOT_POINTS))
-    table = np.column_stack([ks] + [s[ks] for s in series])
-    io._write_table(_out_path(args, name), ",".join(["k", *labels]), table,
-                    "%d" + ",%.6g" * len(series))
 
 
 def _fmt_diag(value):
@@ -188,10 +176,6 @@ def cmd_detect(args):
         valid = idx.values[idx.valid_from:]
         argmax = int(np.argmax(valid)) + idx.valid_from
         print(f"{name} max={valid.max():.6g} argmax={argmax} valid_from={idx.valid_from}")
-    if args.emit_plot_data:
-        scale = np.abs(ref).max() or 1.0
-        _write_plot(args, "plot_indexes.csv", ["reference", *names],
-                    [ref / scale] + [normalize_index(idx).values for _, idx in results])
     return 0
 
 
@@ -263,9 +247,6 @@ def cmd_separate(args):
             fh.write(f"{key}: {_fmt_diag(result.diagnostics[key])}\n")
         fh.write(f"class_component_map: {cmap.best_component.tolist()}\n")
         fh.write(f"one_to_one: {cmap.one_to_one}\n")
-    if args.emit_plot_data:
-        _write_plot(args, "plot_sources.csv", result.sources.channel_names,
-                    result.sources.samples)
     kind = "two-round" if part is None else f"{part.K}-class"
     print(f"separated ({kind}); order={result.order}")
     return 0
@@ -347,7 +328,6 @@ def _build_parser():
     p.add_argument("--obs-noise-frac", type=float, default=1e-3)
     p.add_argument("--easi-step", type=float, default=CLI_EASI_STEP)
     p.add_argument("--easi-g", choices=("cubic", "tanh"), default=CLI_EASI_G)
-    p.add_argument("--emit-plot-data", action="store_true")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_detect)
 
@@ -365,7 +345,6 @@ def _build_parser():
     p.add_argument("--reg-eps", type=float, default=0.0)
     p.add_argument("--lags", help="comma-separated round-1 lags (default 1,2,...,10)")
     p.add_argument("--target", type=int, help="round-1 component to isolate")
-    p.add_argument("--emit-plot-data", action="store_true")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_separate)
 

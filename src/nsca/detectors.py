@@ -127,10 +127,10 @@ def anderson_darling_index(series, window=DEFAULT_AD_WINDOW, cdf=None):
 
     with ``F`` the reference CDF, clamped to [1e-12, 1 - 1e-12] before the
     logs. The statistic is invariant under affine maps applied jointly to the
-    series and the reference fit. The windows run in blocks of
-    ``_kernels._AD_BLOCK``, so working memory is O(``_AD_BLOCK`` * p), not
-    O(len(series) * p), and at window lengths up to 112 the output does not
-    depend on the BLAS thread count.
+    series and the reference fit. The windows run in blocks of about
+    ``_kernels._AD_BLOCK_ELEMS`` samples, so working memory does not grow
+    with ``len(series) * p``, and at window lengths up to 10000 the output
+    does not depend on the BLAS thread count.
 
     Parameters
     ----------

@@ -2,6 +2,9 @@
 
 Generators are deterministic given their seed (independent substreams are
 split off a single root, so adding a source never reshuffles the others).
+An AR(1) source comes from one LAPACK bidiagonal solve (``dgtsv``) that
+equals the per-sample recursion ``x_t = a x_{t-1} + e_t`` bit for bit, so
+generation loads ``scipy.linalg`` but not ``scipy.signal``.
 """
 
 from dataclasses import dataclass
@@ -82,14 +85,20 @@ def _synth_source(spec, T, sample_rate_hz, rng):
     if kind == "gaussian":
         return rng.standard_normal(T)
     if kind == "ar1":
-        from scipy.signal import lfilter  # here, so CLI start-up does not load scipy.signal
+        # here, so `import nsca.cli` does not load scipy.linalg
+        from scipy.linalg import lapack
 
+        # x_t = a x_{t-1} + e_t as the unit lower-bidiagonal system with
+        # subdiagonal -a and right-hand side [x_0, e_1, ..., e_{T-1}]. As
+        # |a| < 1, dgtsv never swaps rows, so each forward step rounds
+        # e + a x twice, like the recursion, and back substitution divides by
+        # 1; its info is always 0. The four arrays are fresh, so all are
+        # overwritten.
         a = spec[1]
-        e = rng.standard_normal(T) * np.sqrt(1.0 - a * a)
-        x = np.empty(T)
-        x[0] = rng.standard_normal()
-        x[1:] = lfilter([1.0], [1.0, -a], e[1:], zi=[a * x[0]])[0]
-        return x
+        b = rng.standard_normal(T) * np.sqrt(1.0 - a * a)
+        b[0] = rng.standard_normal()
+        return lapack.dgtsv(np.full(T - 1, -a), np.ones(T), np.zeros(T - 1), b,
+                            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3]
     rate, width, jitter = spec[1], spec[2], spec[3]
     return gen_ecg_like(
         rate_hz=rate,

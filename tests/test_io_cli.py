@@ -474,32 +474,16 @@ class TestCliDetect:
         assert not list(tmp_path.iterdir())
         assert capsys.readouterr().out == ""
 
-    def test_plot_data_emitted(self, synth_dir, tmp_path):
-        code = run(["detect", "--record", synth_dir / "record.csv",
-                    "--detectors", "envelope", "--envelope-window", 151,
-                    "--emit-plot-data", "--out-dir", tmp_path])
-        assert code == 0
-        lines = (tmp_path / "plot_indexes.csv").read_text().splitlines()
-        assert lines[0] == "k,reference,envelope"
-        rec = read_record(synth_dir / "record.csv")
-        norm = normalize_index(read_index(tmp_path / "envelope.csv")).values
-        ref = rec.channel(0)
-        step = rec.length // 2000
-        assert len(lines) == 1 + len(range(0, rec.length, step))
-        for line, k in zip(lines[1:], range(0, rec.length, step)):
-            assert line == "%d,%.6g,%.6g" % (k, ref[k] / np.abs(ref).max(), norm[k])
-
-    def test_plot_sources_emitted(self, synth_dir, tmp_path):
-        code = run(["separate", "--record", synth_dir / "record.csv",
-                    "--mask", synth_dir / "mask.csv", "--emit-plot-data", "--out-dir", tmp_path])
-        assert code == 0
-        lines = (tmp_path / "plot_sources.csv").read_text().splitlines()
-        est = read_record(tmp_path / "est_sources.csv")
-        assert lines[0] == "k," + ",".join(est.channel_names)
-        step = est.length // 2000
-        ks = range(0, est.length, step)
-        assert lines[1:] == [",".join([str(k)] + ["%.6g" % v for v in est.samples[:, k]])
-                             for k in ks]
+    @pytest.mark.parametrize("subcommand", ["detect", "separate"])
+    def test_emit_plot_data_flag_is_gone(self, subcommand, synth_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        classes = ["--mask", synth_dir / "mask.csv"] if subcommand == "separate" else []
+        assert run([subcommand, "--record", synth_dir / "record.csv", *classes,
+                    "--emit-plot-data", "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("nsca: ")] == [
+            "nsca: error: unrecognized arguments: --emit-plot-data"]
+        assert not out.exists()
 
 
 class TestCliSeparate:

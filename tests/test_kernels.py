@@ -1,10 +1,10 @@
 """The vectorized kernels against step-by-step references.
 
 ``ar_sliding`` computes every window at once from running sums, and
-``ad_sliding`` runs a strided view of the windows in blocks of
-``_AD_BLOCK``. Here windows are recomputed one at a time, by a Toeplitz solve
-of the window's autocovariances and by the direct Anderson-Darling sum over
-the sorted window. ``easi_scan`` runs a fused rank-2 step and checks its
+``ad_sliding`` runs a strided view of the windows in blocks of about
+``_AD_BLOCK_ELEMS`` samples. Here windows are recomputed one at a time, by a
+Toeplitz solve of the window's autocovariances and by the direct
+Anderson-Darling sum over the sorted window. ``easi_scan`` runs a fused rank-2 step and checks its
 index and cap once per block; ``easi_reference`` is the per-step loop it
 replaced.
 """
@@ -85,11 +85,12 @@ def window_ad_fsum(win, mu, sigma, fmin):
     return -p - math.fsum(np.concatenate([w * np.log(F), w[::-1] * np.log1p(-F)])) / p
 
 
-AD_BLOCK = _kernels._AD_BLOCK
+# windows per block at the default p=64; at p=200 a block is 1310 windows
+AD_BLOCK = _kernels._AD_BLOCK_ELEMS // 64
 
 
 class TestAdBlocks:
-    @pytest.mark.parametrize("p", [1, 2, 64])
+    @pytest.mark.parametrize("p", [1, 2, 64, 200])
     @pytest.mark.parametrize("windows", [AD_BLOCK - 1, AD_BLOCK, AD_BLOCK + 1, 2 * AD_BLOCK + 7])
     def test_every_window_matches_direct_sum(self, windows, p):
         x = np.random.default_rng(windows + p).normal(size=windows + p - 1)
@@ -102,12 +103,17 @@ class TestAdBlocks:
 
     def test_same_bytes_under_one_and_two_blas_threads(self):
         # One product over all windows differed in one row between thread
-        # counts for about one series in six, so eight series are hashed.
-        code = ("import hashlib, numpy as np; from nsca import _kernels; h = hashlib.sha256()\n"
-                "for seed in range(8):\n"
-                "    x = np.random.default_rng(seed).normal(size=100_000)\n"
-                "    h.update(_kernels.ad_sliding(x, 64, 0.0, 1.0, 1e-12).tobytes())\n"
-                "print(h.hexdigest())")
+        # counts for about one series in six, so eight series are hashed at
+        # the default window. Blocks of a fixed 4096 windows went over
+        # OpenBLAS's threading threshold at p=128 and p=200 on these lengths.
+        code = ("import hashlib, numpy as np; from nsca import _kernels\n"
+                "cases = [(seed, 100_000, 64) for seed in range(8)]\n"
+                "cases += [(seed, T, p) for seed in range(3)\n"
+                "          for T, p in ((12_020, 128), (12_092, 200))]\n"
+                "for seed, T, p in cases:\n"
+                "    x = np.random.default_rng(seed).normal(size=T)\n"
+                "    out = _kernels.ad_sliding(x, p, 0.0, 1.0, 1e-12)\n"
+                "    print(p, hashlib.sha256(out.tobytes()).hexdigest())")
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
                                   stderr=subprocess.PIPE, text=True,

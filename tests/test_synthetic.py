@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nsca
@@ -42,19 +42,31 @@ def ar1_reference(a, T, rng):
     T=st.integers(2, 3000),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(a=1.0 - 1e-12, T=3000, seed=1)
+@example(a=-(1.0 - 1e-12), T=3000, seed=2)
+@example(a=0.7, T=2, seed=3)
 def test_ar1_source_matches_the_loop(a, T, seed):
     got = _synth_source(("ar1", a), T, 500.0, np.random.default_rng(seed))
     assert np.array_equal(got, ar1_reference(a, T, np.random.default_rng(seed)))
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
+def test_ar1_source_matches_the_loop_at_cli_long_length():
+    got = _synth_source(("ar1", 0.7), 100_000, 500.0, np.random.default_rng(11))
+    assert np.array_equal(got, ar1_reference(0.7, 100_000, np.random.default_rng(11)))
+
+
+def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
+    # `synth` with the default specs generates AR(1) sources
     src = os.path.dirname(os.path.dirname(nsca.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, nsca.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    code = ("import sys, nsca.cli\n"
+            "loaded = lambda: [m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules]\n"
+            "print(loaded())\n"
+            "assert nsca.cli.main(['synth', '--n', '3', '--t', '3000', '--out-dir', sys.argv[1]]) == 0\n"
+            "print(loaded())")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "wrote record/sources/mixing/mask to " + str(tmp_path), "[]"]
 
 
 class TestGenMixture:
