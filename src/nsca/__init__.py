@@ -1,6 +1,6 @@
-"""Nonstationary component analysis: detector bank, hypothesis-test
-partitioning, and semi-blind source separation via class-conditional
-covariance diagonalization.
+"""Nonstationary component analysis: detector bank, index partitioning
+(a relative threshold or quantile classes), and semi-blind source separation
+via class-conditional covariance diagonalization.
 
 The package re-exports each layer module's ``__all__``, so every public
 name is listed once, in the module that defines it.

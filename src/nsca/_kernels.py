@@ -3,8 +3,8 @@
 Kernels never raise on numeric failure. They return status codes (a failing
 pivot column, a divergence step, a converged flag) and the public wrappers in
 ``linalg``/``detectors`` translate those into the package's exception
-taxonomy. All array arguments are expected as C-contiguous float64.
-``benchmarks/bench_kernels.py`` times each kernel and checks its status.
+taxonomy. ``benchmarks/bench_kernels.py`` times each kernel and checks its
+status.
 """
 
 import math
@@ -120,12 +120,9 @@ def ajd_rotate(M, w, max_sweeps, angle_tol):
 # ---------------------------------------------------------------------------
 #
 # The windows run in blocks of max(1, _AD_BLOCK_ELEMS // p) windows, so
-# working memory is O(_AD_BLOCK_ELEMS + p), not O(T * p). OpenBLAS splits a
-# product over all windows across threads, and the row at the split takes
-# another kernel path. A block's products stay below its threading threshold
-# (OpenBLAS 0.3.31), so the output does not depend on the thread count, up to
-# p = 10000: above that a block of one window is a dot product, which OpenBLAS
-# threads. At the default p of 64 a block is 4096 windows.
+# working memory is O(_AD_BLOCK_ELEMS + p), not O(T * p). At the default p
+# of 64 a block is 4096 windows. The weighted sums use einsum, which does not
+# call BLAS, so the output does not depend on the BLAS thread count.
 
 _AD_BLOCK_ELEMS = 4096 * 64
 
@@ -142,7 +139,7 @@ def ad_sliding(x, p, mu, sigma, fmin):
         z = np.sort(win[a:a + block], axis=1)
         F = ndtr((z - mu) / sigma)
         np.clip(F, fmin, 1.0 - fmin, out=F)
-        acc = np.log(F) @ w_fwd + np.log1p(-F) @ w_rev
+        acc = np.einsum("ij,j->i", np.log(F), w_fwd) + np.einsum("ij,j->i", np.log1p(-F), w_rev)
         out[p - 1:][a:a + block] = -p - acc / p
     return out
 

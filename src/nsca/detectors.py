@@ -35,7 +35,7 @@ from .errors import (
     NotPositiveDefinite,
     ShapeMismatch,
 )
-from .linalg import SymMatrix, _whitening_factor, as_sym, cholesky, sample_cov, sym_eig
+from .linalg import SymMatrix, _whitening_factor, as_sym, sample_cov, sym_eig
 from .records import IndexSeries, Record, as_record
 
 __all__ = [
@@ -129,8 +129,7 @@ def anderson_darling_index(series, window=DEFAULT_AD_WINDOW, cdf=None):
     logs. The statistic is invariant under affine maps applied jointly to the
     series and the reference fit. The windows run in blocks of about
     ``_kernels._AD_BLOCK_ELEMS`` samples, so working memory does not grow
-    with ``len(series) * p``, and at window lengths up to 10000 the output
-    does not depend on the BLAS thread count.
+    with ``len(series) * p``.
 
     Parameters
     ----------
@@ -359,9 +358,10 @@ def ar_tracking(series, window=DEFAULT_AR_WINDOW, ar_order=DEFAULT_AR_ORDER):
 class StateSpaceModel:
     """Linear time-invariant state-space model ``x' = F x + w``, ``z = H x + v``.
 
-    Noise covariances must be symmetric positive semidefinite; a singular
-    observation-noise covariance is tolerated (the filter floors it, see
-    :func:`kalman_innovation_index`).
+    Noise covariances must be symmetric positive semidefinite. A singular
+    observation-noise covariance is used as given: the filter needs only each
+    innovation covariance ``H P H^T + R`` to be positive definite (see
+    :func:`normalized_innovations`).
     """
 
     transition: np.ndarray
@@ -410,29 +410,14 @@ class StateSpaceModel:
         return self.observation.shape[0]
 
 
-def _floored_obs_noise(model):
-    """Observation noise, ridged minimally when it is not positive definite."""
-    R = model.obs_noise_cov.entries
-    try:
-        cholesky(R)
-        return R
-    except NotPositiveDefinite:
-        m = R.shape[0]
-        eps = 1e-12 * max(
-            float(np.trace(R)) / m,
-            float(np.trace(model.init_cov.entries)) / model.state_dim,
-            1.0,
-        )
-        return R + eps * np.eye(m)
-
-
 def normalized_innovations(record, model):
     """Normalized squared innovations ``e_k = i_k^T S_k^{-1} i_k`` of a filter run.
 
     For data that actually follows the model, ``e`` has mean ``obs_dim`` and
     no serial correlation; bursts that leave the model inflate and correlate
-    it. Raises :class:`NotPositiveDefinite` if an innovation covariance loses
-    definiteness mid-run. The numpy scan switches to the fixed steady-state
+    it. Raises :class:`NotPositiveDefinite` naming the first step whose
+    innovation covariance ``S_k = H P_k H^T + R`` is not positive definite;
+    ``R`` is used as given. The numpy scan switches to the fixed steady-state
     gain once the predicted covariance has converged to rounding, and runs the
     full filter throughout if it never does or the closed loop is unstable.
     """
@@ -441,16 +426,15 @@ def normalized_innovations(record, model):
         raise ModelMismatch(
             f"model observes {model.obs_dim} channels, record has {record.channels}"
         )
-    R = np.ascontiguousarray(_floored_obs_noise(model))
     zt = np.ascontiguousarray(record.samples.T)
     e, status, where = _kernels.kalman_scan(
         zt,
         model.transition,
         model.observation,
-        np.ascontiguousarray(model.process_noise_cov.entries),
-        R,
+        model.process_noise_cov.entries,
+        model.obs_noise_cov.entries,
         model.init_state,
-        np.ascontiguousarray(model.init_cov.entries),
+        model.init_cov.entries,
     )
     if status:
         raise NotPositiveDefinite(f"innovation covariance lost definiteness at step {where}")

@@ -5,9 +5,12 @@ Cholesky, the triangular solves and the joint diagonalizer run on the
 package's own numpy kernels (``_kernels``) so that their failure behaviour is
 fully specified: Cholesky reports the failing pivot, the joint diagonalizer
 reports its sweep budget, and every tolerance is explicit. Matrices in this
-package are covariance-sized (a few dozen rows at most), where the numpy
-Cholesky and triangular solves cost less per call than ``scipy.linalg``,
-which brings its own OpenBLAS thread pool.
+package are covariance-sized (a few dozen rows at most). Routing Cholesky and
+the triangular solves through ``scipy.linalg`` (``dpotrf``,
+``solve_triangular``) slowed the separation-only benchmark (``perfbench``
+``sep_wide``, n=8, on a 2-core Xeon) from about 250 to about 400 reference
+units per pass; scipy's wheel brings its own OpenBLAS and thread pool
+beside numpy's.
 
 The package's sample covariance (``sample_cov``), ridged whitening factor and
 ``L^{-1} C L^{-T}`` congruence each have their one implementation here.
@@ -113,7 +116,7 @@ def cholesky(mat):
     S = as_sym(mat).entries
     n = S.shape[0]
     tol = CHOLESKY_PIVOT_TOL * np.trace(S) / n
-    L, fail = _kernels.cholesky(np.ascontiguousarray(S), tol)
+    L, fail = _kernels.cholesky(S, tol)
     if fail >= 0:
         raise NotPositiveDefinite(
             f"Cholesky pivot {fail} at or below tolerance {tol:.3e}", pivot=fail
@@ -140,8 +143,7 @@ def sym_eig(mat):
     NoConvergence
         If LAPACK reports that its eigenvalue iteration failed.
     """
-    S = np.ascontiguousarray(as_sym(mat).entries)
-    vals, vecs, _, converged = _kernels.jacobi_eig(S)
+    vals, vecs, _, converged = _kernels.jacobi_eig(as_sym(mat).entries)
     if not converged:
         raise NoConvergence("symmetric eigensolver: LAPACK eigh did not converge")
     peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
@@ -167,7 +169,7 @@ def _whitening_factor(B, reg_eps):
 
 def _congruence(L, C):
     """``L^{-1} C L^{-T}``, symmetrized."""
-    X = _kernels.solve_lower(L, np.ascontiguousarray(C))
+    X = _kernels.solve_lower(L, C)
     M = _kernels.solve_lower(L, np.ascontiguousarray(X.T)).T
     return 0.5 * (M + M.T)
 
@@ -213,7 +215,7 @@ def gevd(A, B, order="ascending", reg_eps=0.0):
         raise ValueError("order must be 'ascending' or 'descending'")
     L = _whitening_factor(Bm, reg_eps)
     pair = sym_eig(_congruence(L, Am))
-    W = _kernels.solve_lower_t(L, np.ascontiguousarray(pair.vectors))
+    W = _kernels.solve_lower_t(L, pair.vectors)
     vals = pair.values
     if order == "descending":
         vals = vals[::-1].copy()
@@ -280,7 +282,7 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
         raise NoConvergence(
             f"joint diagonalization: rotation angles above tolerance after {sweeps} sweeps"
         )
-    W = _kernels.solve_lower_t(L, np.ascontiguousarray(Q))
+    W = _kernels.solve_lower_t(L, Q)
     residual = off_diag_residual(W, mats, weights=w)
     return W, residual
 
@@ -301,15 +303,13 @@ def off_diag_residual(W, mats, weights=None):
     float
         ``sum_i w_i * sum_{p != q} (W.T C_i W)[p, q]^2``.
     """
-    stack = [as_sym(m).entries for m in mats]
-    K = len(stack)
-    w = np.ones(K) if weights is None else np.asarray(weights, dtype=np.float64)
-    total = 0.0
-    for wi, C in zip(w, stack):
-        D = W.T @ C @ W
-        off = D - np.diag(np.diag(D))
-        total += wi * float(np.sum(off * off))
-    return total
+    stack = np.stack([as_sym(m).entries for m in mats])
+    w = np.ones(len(stack)) if weights is None else np.asarray(weights, dtype=np.float64)
+    D = W.T @ stack @ W
+    diag = np.arange(D.shape[1])
+    D[:, diag, diag] = 0.0
+    # np.add.accumulate adds left to right; np.sum regroups 8 or more terms
+    return float(np.add.accumulate(w * np.sum(D * D, axis=(1, 2)))[-1])
 
 
 def amari_index(G):

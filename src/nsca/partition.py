@@ -1,9 +1,12 @@
-"""Hypothesis-test partitioning of samples and class-conditional statistics.
+"""Partitioning of samples by an index, and class-conditional statistics.
 
 An index series says how nonstationary each sample looks; this module turns
-that into a labeling of the record (background vs event, or K quantile
-classes) and estimates the per-class covariance structure that the
-separation engines diagonalize.
+that into a labeling of the record and estimates the per-class covariance
+structure that the separation engines diagonalize. ``threshold_mask`` labels
+as events the samples at or above ``theta_rel`` times the index's valid
+maximum; ``quantile_partition`` cuts the index at its ``j/K`` quantiles. No
+null distribution enters either rule: the paper's level-alpha hypothesis test
+is still open (ROADMAP item 2).
 """
 
 from dataclasses import dataclass

@@ -70,13 +70,20 @@ def apply_separation(W, record):
     return Record(sources, record.sample_rate_hz, names)
 
 
-def _spectra(W, covset):
+def _result(record, covset, W, order, **diagnostics):
+    """SeparationResult of demixer ``W``; diagnostics gain the whitening error and class counts."""
     covs = np.stack([C.entries for C in covset.covs])
-    return np.diagonal(W.T @ covs @ W, axis1=1, axis2=2).copy()
-
-
-def _whitening_error(W, total):
-    return float(np.abs(W.T @ total.entries @ W - np.eye(W.shape[1])).max())
+    diagnostics.update(
+        whitening_error=float(np.abs(W.T @ covset.total.entries @ W - np.eye(W.shape[1])).max()),
+        class_counts=covset.counts,
+    )
+    return SeparationResult(
+        demixer=W,
+        spectra=np.diagonal(W.T @ covs @ W, axis1=1, axis2=2).copy(),
+        order=order,
+        sources=apply_separation(W, record),
+        diagnostics=diagnostics,
+    )
 
 
 def _condition_number(mat):
@@ -116,21 +123,8 @@ def nsca_two_class(record, mask, reg_eps=0.0, weight_rule="cardinality"):
         raise BadClass(f"two-class separation needs K=2, got K={mask.K}")
     covset = class_covariances(record, mask, weight_rule)
     pair = gevd(covset.covs[1], covset.total, order="descending", reg_eps=reg_eps)
-    W = pair.vectors
-    sources = apply_separation(W, record)
-    return SeparationResult(
-        demixer=W,
-        spectra=_spectra(W, covset),
-        order="descending",
-        sources=sources,
-        diagnostics={
-            "eigenvalues": pair.values,
-            "whitening_error": _whitening_error(W, covset.total),
-            "total_condition": _condition_number(covset.total),
-            "class_counts": covset.counts,
-            "weights": covset.weights,
-        },
-    )
+    return _result(record, covset, pair.vectors, "descending", eigenvalues=pair.values,
+                   total_condition=_condition_number(covset.total), weights=covset.weights)
 
 
 def nsca_multi_class(record, part, include_total=False, weight_rule="cardinality", reg_eps=0.0):
@@ -161,21 +155,9 @@ def nsca_multi_class(record, part, include_total=False, weight_rule="cardinality
     else:
         whitener = covset.total
     W, residual = ajd(mats, weights=weights, whitener=whitener, reg_eps=reg_eps)
-    sources = apply_separation(W, record)
-    return SeparationResult(
-        demixer=W,
-        spectra=_spectra(W, covset),
-        order="none",
-        sources=sources,
-        diagnostics={
-            "ajd_residual": residual,
-            "class_residual": off_diag_residual(W, covset.covs, covset.weights),
-            "whitening_error": _whitening_error(W, covset.total),
-            "include_total": bool(include_total),
-            "class_counts": covset.counts,
-            "weights": np.asarray(weights),
-        },
-    )
+    return _result(record, covset, W, "none", ajd_residual=residual,
+                   class_residual=off_diag_residual(W, covset.covs, covset.weights),
+                   include_total=bool(include_total), weights=np.asarray(weights))
 
 
 def eigenratio_map(spectra, weights):
@@ -206,13 +188,9 @@ def eigenratio_map(spectra, weights):
 
 
 def _lagged_covariances(X, lags):
-    """Symmetrized lagged covariances of the centred rows ``X``."""
+    """Lagged covariances of the centred rows ``X``, symmetrized by ``SymMatrix``."""
     T = X.shape[1]
-    out = []
-    for tau in lags:
-        C = X[:, : T - tau] @ X[:, tau:].T / (T - tau - 1)
-        out.append(SymMatrix(0.5 * (C + C.T)))
-    return out
+    return [SymMatrix(X[:, : T - tau] @ X[:, tau:].T / (T - tau - 1)) for tau in lags]
 
 
 def two_round_targeted(record, lags, target_component, reg_eps=0.0, round2_theta=0.5):

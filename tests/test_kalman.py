@@ -15,7 +15,7 @@ from nsca.detectors import (
     kalman_innovation_index,
     normalized_innovations,
 )
-from nsca.errors import InvalidWindow, ModelMismatch
+from nsca.errors import InvalidWindow, ModelMismatch, NotPositiveDefinite
 from nsca.linalg import SymMatrix
 from nsca.records import Record
 from nsca.synthetic import DEFAULT_BURST, default_source_specs, gen_mixture
@@ -98,8 +98,8 @@ class TestBurstResponse:
 
 
 class TestModelValidation:
-    def test_zero_obs_noise_is_floored(self):
-        # a singular R is accepted; the filter floors it instead of failing
+    def test_zero_obs_noise_runs_while_innovation_cov_is_definite(self):
+        # a singular R is used as given: with Q > 0 every S = P + R is definite
         model = StateSpaceModel(
             transition=[[1.0]],
             observation=[[1.0]],
@@ -110,6 +110,20 @@ class TestModelValidation:
         )
         e = normalized_innovations(random_walk(3), model)
         assert np.isfinite(e).all()
+
+    def test_singular_innovation_cov_raises_at_its_step(self):
+        # with Q = R = 0 the first S is P0 itself, which is singular
+        model = StateSpaceModel(
+            transition=np.eye(2),
+            observation=np.eye(2),
+            process_noise_cov=SymMatrix(np.zeros((2, 2))),
+            obs_noise_cov=SymMatrix(np.zeros((2, 2))),
+            init_state=[0.0, 0.0],
+            init_cov=SymMatrix(np.diag([1.0, 0.0])),
+        )
+        record = Record(np.random.default_rng(5).normal(size=(2, 100)))
+        with pytest.raises(NotPositiveDefinite, match="at step 0$"):
+            normalized_innovations(record, model)
 
     def test_channel_mismatch(self):
         with pytest.raises(ModelMismatch):

@@ -105,11 +105,13 @@ class TestAdBlocks:
         # One product over all windows differed in one row between thread
         # counts for about one series in six, so eight series are hashed at
         # the default window. Blocks of a fixed 4096 windows went over
-        # OpenBLAS's threading threshold at p=128 and p=200 on these lengths.
+        # OpenBLAS's threading threshold at p=128 and p=200 on these lengths,
+        # and one-window products above 10000 samples went over it too.
         code = ("import hashlib, numpy as np; from nsca import _kernels\n"
                 "cases = [(seed, 100_000, 64) for seed in range(8)]\n"
                 "cases += [(seed, T, p) for seed in range(3)\n"
-                "          for T, p in ((12_020, 128), (12_092, 200))]\n"
+                "          for T, p in ((12_020, 128), (12_092, 200), (10_027, 10_001),\n"
+                "                       (10_053, 10_001), (12_042, 12_000))]\n"
                 "for seed, T, p in cases:\n"
                 "    x = np.random.default_rng(seed).normal(size=T)\n"
                 "    out = _kernels.ad_sliding(x, p, 0.0, 1.0, 1e-12)\n"
