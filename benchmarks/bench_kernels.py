@@ -15,6 +15,9 @@ generator record at the CLI step (1e-4); the Kalman cases run a unit-noise
 model and a `fit_ar1_state_space` model of a generator record, where the
 scan switches to the steady-state gain.
 
+The rows that scan T samples (AD, AR, EASI, Kalman) also show the best time
+per sample in microseconds, the unit the README quotes.
+
 Usage: python3 benchmarks/bench_kernels.py [--t 20000] [--repeats 5]
 """
 
@@ -29,6 +32,8 @@ from nsca.cli import CLI_EASI_STEP
 from nsca.detectors import fit_ar1_state_space, prewhiten
 from nsca.errors import BadSpec
 from nsca.synthetic import DEFAULT_BURST, default_source_specs, gen_mixture
+
+SCANS = ("ad_sliding", "ar_sliding", "easi_scan", "kalman_scan")  # one step per sample
 
 
 def best_of(fn, repeats):
@@ -123,7 +128,7 @@ def main():
     except BadSpec as err:
         ap.error(f"--t {args.t}: {err}")
 
-    header = f"{'kernel':<30}{'ms':>12}"
+    header = f"{'kernel':<30}{'ms':>12}{'us/step':>10}"
     print(header)
     print("-" * len(header))
     failures = []
@@ -132,7 +137,9 @@ def main():
         problem = check(call(f))
         if problem:
             failures.append(f"{label}: {problem}")
-        print(f"{label:<30}{best_of(lambda: call(f), args.repeats) * 1e3:>12.3f}")
+        t = best_of(lambda: call(f), args.repeats)
+        per_step = f"{t * 1e6 / args.t:>10.2f}" if base in SCANS else ""
+        print(f"{label:<30}{t * 1e3:>12.3f}{per_step}")
     for msg in failures:
         print(f"FAILED {msg}", file=sys.stderr)
     return 1 if failures else 0

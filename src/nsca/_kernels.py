@@ -76,19 +76,22 @@ def jacobi_eig(S):
 
 def ajd_rotate(M, w, max_sweeps, angle_tol):
     # M is a (K, n, n) stack modified in place; returns (Q, sweeps, converged).
-    # Per pair (p, q) the rotation angle maximizes the weighted sum of squared
-    # diagonal gains over the stack (2x2 subproblem in closed form).
-    n = M.shape[1]
-    Q = np.eye(n)
+    # Q is stored as slice K of one (K + 1, n, n) stack, so one column rotation
+    # turns the set and Q. Per pair (p, q) the angle maximizes the weighted sum
+    # of squared diagonal gains over the set (2x2 subproblem in closed form).
+    K, n = M.shape[:2]
+    S = np.concatenate((M, np.eye(n)[None]))
+    Ms = S[:K]
+    sweeps, converged = max_sweeps, 0
     for sweep in range(max_sweeps):
         max_angle = 0.0
         for p in range(n - 1):
             for q in range(p + 1, n):
-                g1 = M[:, p, p] - M[:, q, q]
-                g2 = M[:, p, q] + M[:, q, p]
-                g00 = float(w @ (g1 * g1))
-                g01 = float(w @ (g1 * g2))
-                g11 = float(w @ (g2 * g2))
+                g1 = Ms[:, p, p] - Ms[:, q, q]
+                g2 = Ms[:, p, q] + Ms[:, q, p]
+                g00 = float(w.dot(g1 * g1))
+                g01 = float(w.dot(g1 * g2))
+                g11 = float(w.dot(g2 * g2))
                 ton = g00 - g11
                 toff = 2.0 * g01
                 theta = 0.5 * math.atan2(toff, ton + math.sqrt(ton * ton + toff * toff))
@@ -98,21 +101,15 @@ def ajd_rotate(M, w, max_sweeps, angle_tol):
                 if a > 1e-18:
                     c = math.cos(theta)
                     s = math.sin(theta)
-                    colp = M[:, :, p].copy()
-                    colq = M[:, :, q].copy()
-                    M[:, :, p] = c * colp + s * colq
-                    M[:, :, q] = c * colq - s * colp
-                    rowp = M[:, p, :].copy()
-                    rowq = M[:, q, :].copy()
-                    M[:, p, :] = c * rowp + s * rowq
-                    M[:, q, :] = c * rowq - s * rowp
-                    qp = Q[:, p].copy()
-                    qq = Q[:, q].copy()
-                    Q[:, p] = c * qp + s * qq
-                    Q[:, q] = c * qq - s * qp
+                    cp, cq = S[:, :, p], S[:, :, q]
+                    S[:, :, p], S[:, :, q] = c * cp + s * cq, c * cq - s * cp
+                    rp, rq = Ms[:, p], Ms[:, q]
+                    Ms[:, p], Ms[:, q] = c * rp + s * rq, c * rq - s * rp
         if max_angle < angle_tol:
-            return Q, sweep + 1, 1
-    return Q, max_sweeps, 0
+            sweeps, converged = sweep + 1, 1
+            break
+    M[:] = Ms
+    return S[K], sweeps, converged
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +156,11 @@ def ad_sliding(x, p, mu, sigma, fmin):
 # The index forms H entry by entry, as a per-step loop would: the closed form
 # (|y|^2 - 1)^2 + n - 1 + 2(|g|^2 |y|^2 - (g.y)^2) cancels badly when one
 # channel of y dominates (1e-6 relative at y = (1e3, 1e-3, 2e-3)).
+# A step is mostly call overhead: with out=, np.dot takes 1.2 us per 5x5 product against 1.9-2.8
+# us for matmul or @, and np.power 1.1 us with a 0-d exponent against 2.4 us with the int 3.
 
 _EASI_BLOCK = 256
+_THREE = np.array(3.0)
 
 
 def easi_scan(xt, lam, nonlin, cap):
@@ -187,14 +187,14 @@ def easi_scan(xt, lam, nonlin, cap):
         # discarded below
         with np.errstate(over="ignore", invalid="ignore"):
             for (y, g, M, LT, Wj), x in zip(steps, xt[a:a + nb]):
-                np.matmul(W, x, out=y)
+                np.dot(W, x, out=y)
                 if nonlin == 0:
-                    np.power(y, 3, out=g)
+                    np.power(y, _THREE, out=g)
                 else:
                     np.tanh(y, out=g)
-                np.matmul(minus_lam_E, M, out=EM)
-                np.matmul(LT, R, out=A)
-                W = np.matmul(A, W, out=Wj)
+                np.dot(minus_lam_E, M, out=EM)
+                np.dot(LT, R, out=A)
+                W = np.dot(A, W, out=Wj)
         bad = np.flatnonzero(~(np.abs(Ws[:nb]).max(axis=(1, 2)) <= cap))
         stop = bad[0] + 1 if bad.size else nb
         Y, G = L[:stop, 0, :, None], L[:stop, 1, :, None]

@@ -268,7 +268,7 @@ def easi_index(record, step=DEFAULT_EASI_STEP, nonlinearity="cubic"):
     record : Record
         At least 2 channels.
     step : float
-        Positive adaptation step.
+        Positive, finite adaptation step.
     nonlinearity : {"cubic", "tanh"}
         ``g`` in the update; cubic suits sub-Gaussian sources.
 
@@ -285,8 +285,8 @@ def easi_index(record, step=DEFAULT_EASI_STEP, nonlinearity="cubic"):
     record = as_record(record)
     if record.channels < 2:
         raise ShapeMismatch("adaptive separation needs at least 2 channels")
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < np.inf:
+        raise ValueError("step must be positive and finite")
     if nonlinearity not in ("cubic", "tanh"):
         raise ValueError("nonlinearity must be 'cubic' or 'tanh'")
     xt = np.ascontiguousarray(record.samples.T)
@@ -471,9 +471,12 @@ def fit_ar1_state_space(record, obs_noise_frac=1e-3):
     LAPACK least squares (``numpy.linalg.lstsq``), which gives the
     minimum-norm transition when the record is rank deficient (a duplicated
     channel, say); process noise from the fit residuals; a small diagonal
-    observation noise sized by ``obs_noise_frac`` of the mean channel
-    variance; the channel means as the initial state.
+    observation noise of ``obs_noise_frac`` (finite, nonnegative) times the
+    mean channel variance, and at least 1e-12; the channel means as the
+    initial state.
     """
+    if not 0 <= obs_noise_frac < np.inf:
+        raise ValueError("obs_noise_frac must be finite and nonnegative")
     record = as_record(record)
     if record.length < record.channels + 2:
         raise ShapeMismatch("record too short to fit a transition")

@@ -153,8 +153,8 @@ def sym_eig(mat):
 def _whitening_factor(B, reg_eps):
     """Cholesky factor of ``B`` after an optional relative ridge; failures keep their pivot."""
     Bm = as_sym(B).entries
-    if reg_eps < 0:
-        raise ValueError("reg_eps must be nonnegative")
+    if not 0 <= reg_eps < np.inf:
+        raise ValueError("reg_eps must be finite and nonnegative")
     if reg_eps > 0:
         n = Bm.shape[0]
         Bm = Bm + (reg_eps * np.trace(Bm) / n) * np.eye(n)
@@ -190,7 +190,8 @@ def gevd(A, B, order="ascending", reg_eps=0.0):
     order : {"ascending", "descending"}
         Eigenvalue sort order of the returned pair.
     reg_eps : float
-        Relative ridge added to ``B`` before factoring; 0 disables it.
+        Finite, nonnegative relative ridge added to ``B`` before factoring;
+        0 disables it.
 
     Returns
     -------
@@ -242,7 +243,8 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
         Positive definite matrix defining the metric. Defaults to the
         unweighted mean of ``mats``.
     reg_eps : float
-        Relative ridge added to the whitener before factoring.
+        Finite, nonnegative relative ridge added to the whitener before
+        factoring.
     max_sweeps : int
         Rotation sweep budget.
 

@@ -2,6 +2,7 @@
 
 import errno
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -653,7 +654,16 @@ class TestCliExitCodes:
         "min-event-len-0": "separate --record {record} --index {index} --min-event-len 0",
         "lag-0": "separate --record {record} --two-round --target 0 --lags 0",
         "lag-not-a-number": "separate --record {record} --two-round --target 0 --lags 1,x",
+        "nan-reg-eps": "separate --record {record} --mask {mask} --reg-eps nan",
+        "inf-reg-eps": "separate --record {record} --mask {mask} --reg-eps inf",
         "negative-easi-step": "detect --record {record} --detectors easi --easi-step -1",
+        "inf-easi-step": "detect --record {record} --detectors easi --easi-step inf",
+        "negative-obs-noise-frac":
+            "detect --record {record} --detectors innovation --obs-noise-frac -1",
+        "nan-obs-noise-frac":
+            "detect --record {record} --detectors innovation --obs-noise-frac nan",
+        "inf-obs-noise-frac":
+            "detect --record {record} --detectors innovation --obs-noise-frac inf",
         "cumulant-order-7": "detect --record {record} --detectors cumulant --cumulant-order 7",
         "non-numeric-pole": "synth --n 3 --t 2000 --sources gaussian,ar1:x,gaussian",
         "ecg-rate-inf": "synth --n 2 --t 1000 --sources gaussian,ecg:inf:0.05",
@@ -695,7 +705,10 @@ class TestCliExitCodes:
             record=synth_dir / "record.csv", mask=synth_dir / "mask.csv", index=envelope_csv)
         out = tmp_path / "out"
         out_dir = [] if argv.startswith("eval") else ["--out-dir", out]  # eval writes no file
-        assert run(argv.split() + out_dir) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv.split() + out_dir) == 2
+        assert [str(w.message) for w in caught] == []  # no numpy warning ahead of the check
         err = capsys.readouterr().err
         assert sum(line.startswith("nsca: ") for line in err.splitlines()) == 1
         assert "Traceback" not in err

@@ -179,6 +179,11 @@ class TestFittedBackgroundModel:
         with pytest.raises(ShapeMismatch):
             fit_ar1_state_space(Record(np.ones((3, 4))))
 
+    @pytest.mark.parametrize("frac", [-1.0, math.nan, math.inf])
+    def test_obs_noise_frac_must_be_finite_and_nonnegative(self, frac):
+        with pytest.raises(ValueError, match="obs_noise_frac"):
+            fit_ar1_state_space(Record(np.ones((2, 50))), frac)
+
     def test_duplicated_channel_gets_the_minimum_norm_fit(self):
         rec, _ = gen_mixture(3, 4000, dict(count=2, min_len=300, max_len=500, amplitude=4.0),
                              seed=5)

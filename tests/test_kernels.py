@@ -6,7 +6,9 @@
 Toeplitz solve of the window's autocovariances and by the direct
 Anderson-Darling sum over the sorted window. ``easi_scan`` runs a fused rank-2 step and checks its
 index and cap once per block; ``easi_reference`` is the per-step loop it
-replaced.
+replaced. ``ajd_rotate`` keeps Q in the same stack as the set and rotates
+both from views; ``ajd_reference`` is the loop with separate Q and copies that
+it replaced, and must give the same bits.
 """
 
 import functools
@@ -230,6 +232,64 @@ def test_easi_scan_matches_reference(data, n, nonlin, T):
     if k is not None and k < T:
         xt = broken_at(xt, k, data.draw(st.sampled_from(["spike", "nan"])), nonlin)
     assert_easi_matches_reference(xt, nonlin)
+
+
+def ajd_reference(M, w, max_sweeps, angle_tol):
+    # Reference for _kernels.ajd_rotate: Q held apart from the set, and each
+    # rotated column and row pair copied out before it is written back.
+    n = M.shape[1]
+    Q = np.eye(n)
+    for sweep in range(max_sweeps):
+        max_angle = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                g1 = M[:, p, p] - M[:, q, q]
+                g2 = M[:, p, q] + M[:, q, p]
+                g00 = float(w @ (g1 * g1))
+                g01 = float(w @ (g1 * g2))
+                g11 = float(w @ (g2 * g2))
+                ton = g00 - g11
+                toff = 2.0 * g01
+                theta = 0.5 * math.atan2(toff, ton + math.sqrt(ton * ton + toff * toff))
+                a = abs(theta)
+                if a > max_angle:
+                    max_angle = a
+                if a > 1e-18:
+                    c = math.cos(theta)
+                    s = math.sin(theta)
+                    colp = M[:, :, p].copy()
+                    colq = M[:, :, q].copy()
+                    M[:, :, p] = c * colp + s * colq
+                    M[:, :, q] = c * colq - s * colp
+                    rowp = M[:, p, :].copy()
+                    rowq = M[:, q, :].copy()
+                    M[:, p, :] = c * rowp + s * rowq
+                    M[:, q, :] = c * rowq - s * rowp
+                    qp = Q[:, p].copy()
+                    qq = Q[:, q].copy()
+                    Q[:, p] = c * qp + s * qq
+                    Q[:, q] = c * qq - s * qp
+        if max_angle < angle_tol:
+            return Q, sweep + 1, 1
+    return Q, max_sweeps, 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 12), st.integers(1, 11), st.integers(1, 3),
+       st.sampled_from([1e-10, 0.1, 1.0]))
+def test_ajd_rotate_matches_reference(data, K, n, max_sweeps, angle_tol):
+    # Budgets of 1-3 sweeps stop most sets unconverged; a tolerance of 1 rad
+    # is met after one sweep (every angle is at most pi/4), so both returns run.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((K, n, n))
+    M = G + G.transpose(0, 2, 1)
+    w = np.array(data.draw(st.lists(st.just(0.0) | st.floats(0.0, 10.0), min_size=K,
+                                    max_size=K)))
+    M_ref = M.copy()
+    Q, sweeps, converged = _kernels.ajd_rotate(M, w, max_sweeps, angle_tol)
+    Q_ref, sweeps_ref, converged_ref = ajd_reference(M_ref, w, max_sweeps, angle_tol)
+    assert np.array_equal(Q, Q_ref) and np.array_equal(M, M_ref)
+    assert (sweeps, converged) == (sweeps_ref, converged_ref)
 
 
 def test_kernel_bench_runs():

@@ -180,6 +180,13 @@ class TestGevd:
         with pytest.raises(NotPositiveDefinite):
             gevd(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("reg_eps", [-1e-8, np.nan, np.inf])
+    def test_reg_eps_must_be_finite_and_nonnegative(self, reg_eps):
+        with pytest.raises(ValueError, match="reg_eps"):
+            gevd(np.eye(2), np.eye(2), reg_eps=reg_eps)
+        with pytest.raises(ValueError, match="reg_eps"):
+            ajd([np.eye(2)], reg_eps=reg_eps)
+
     def test_reg_eps_rescues_singular_b(self):
         A = np.diag([2.0, 1.0])
         B = np.diag([1.0, 0.0])
