@@ -15,25 +15,34 @@ generator record at the CLI step (1e-4); the Kalman cases run a unit-noise
 model and a `fit_ar1_state_space` model of a generator record, where the
 scan switches to the steady-state gain.
 
-The rows that scan T samples (AD, AR, EASI, Kalman) also show the best time
-per sample in microseconds, the unit the README quotes.
+The ``write_record`` and ``read_record`` rows write the 4-channel generator
+record to a temporary CSV file and read it back; the read row checks that
+the table it reads equals the record bit for bit.
+
+The rows that scan T samples (AD, AR, EASI, Kalman, the CSV writer and
+reader) also show the best time per sample in microseconds, the unit the
+README quotes.
 
 Usage: python3 benchmarks/bench_kernels.py [--t 20000] [--repeats 5]
 """
 
 import argparse
+import os
 import sys
+import tempfile
 import time
 
 import numpy as np
 
 from nsca import _kernels as K
+from nsca import io
 from nsca.cli import CLI_EASI_STEP
 from nsca.detectors import fit_ar1_state_space, prewhiten
 from nsca.errors import BadSpec
 from nsca.synthetic import DEFAULT_BURST, default_source_specs, gen_mixture
 
-SCANS = ("ad_sliding", "ar_sliding", "easi_scan", "kalman_scan")  # one step per sample
+# one step per sample
+SCANS = ("ad_sliding", "ar_sliding", "easi_scan", "kalman_scan", "write_record", "read_record")
 
 
 def best_of(fn, repeats):
@@ -68,7 +77,19 @@ def ok_windows(out):
     return None if out[1][-1] else "last window rejected"
 
 
-def build_cases(T):
+def ok_written(out):
+    return None  # the read row checks what the write row wrote
+
+
+def same_bits(rec):
+    def check(out):
+        a, b = out.samples, rec.samples
+        same = a.shape == b.shape and a.tobytes() == b.tobytes()
+        return None if same else "the table read back differs from the written record"
+    return check
+
+
+def build_cases(T, tmp):
     rng = np.random.default_rng(0)
     n = 8
     G = rng.standard_normal((n, n))
@@ -101,18 +122,21 @@ def build_cases(T):
         fit.init_state,
         np.ascontiguousarray(fit.init_cov.entries),
     )
+    csv = os.path.join(tmp, "record.csv")
     return [
-        ("cholesky 8x8", "cholesky", lambda f: f(S, 0.0), ok_pivot),
-        ("solve_lower 8x8", "solve_lower", lambda f: f(L, B), ok_finite),
-        ("LAPACK eigh 8x8", "jacobi_eig", lambda f: f(S), ok_converged),
-        ("ajd_rotate K=6 n=8", "ajd_rotate", lambda f: f(M.copy(), weights, 200, 1e-10), ok_converged),
-        (f"ad_sliding T={T} p=64", "ad_sliding", lambda f: f(x, 64, 0.0, 1.0, 1e-12), ok_finite),
-        (f"ad_sliding T={T} p=200", "ad_sliding", lambda f: f(x, 200, 0.0, 1.0, 1e-12), ok_finite),
-        (f"easi_scan cubic T={T} n={m}", "easi_scan", lambda f: f(white, CLI_EASI_STEP, 0, 1e6), ok_status),
-        (f"easi_scan tanh T={T} n={m}", "easi_scan", lambda f: f(white, CLI_EASI_STEP, 1, 1e6), ok_status),
-        (f"kalman_scan T={T} n={m}", "kalman_scan", lambda f: f(xt, F, H, Qm, Rm, x0, P0), ok_status),
-        (f"kalman_scan fit T={T} n={m}", "kalman_scan", lambda f: f(*fit_args), ok_status),
-        (f"ar_sliding T={T} w=512 q=4", "ar_sliding", lambda f: f(x, 512, 4, 1e-300), ok_windows),
+        ("cholesky 8x8", K.cholesky, lambda f: f(S, 0.0), ok_pivot),
+        ("solve_lower 8x8", K.solve_lower, lambda f: f(L, B), ok_finite),
+        ("LAPACK eigh 8x8", K.jacobi_eig, lambda f: f(S), ok_converged),
+        ("ajd_rotate K=6 n=8", K.ajd_rotate, lambda f: f(M.copy(), weights, 200, 1e-10), ok_converged),
+        (f"ad_sliding T={T} p=64", K.ad_sliding, lambda f: f(x, 64, 0.0, 1.0, 1e-12), ok_finite),
+        (f"ad_sliding T={T} p=200", K.ad_sliding, lambda f: f(x, 200, 0.0, 1.0, 1e-12), ok_finite),
+        (f"easi_scan cubic T={T} n={m}", K.easi_scan, lambda f: f(white, CLI_EASI_STEP, 0, 1e6), ok_status),
+        (f"easi_scan tanh T={T} n={m}", K.easi_scan, lambda f: f(white, CLI_EASI_STEP, 1, 1e6), ok_status),
+        (f"kalman_scan T={T} n={m}", K.kalman_scan, lambda f: f(xt, F, H, Qm, Rm, x0, P0), ok_status),
+        (f"kalman_scan fit T={T} n={m}", K.kalman_scan, lambda f: f(*fit_args), ok_status),
+        (f"ar_sliding T={T} w=512 q=4", K.ar_sliding, lambda f: f(x, 512, 4, 1e-300), ok_windows),
+        (f"write_record T={T} n={m}", io.write_record, lambda f: f(csv, rec), ok_written),
+        (f"read_record T={T} n={m}", io.read_record, lambda f: f(csv), same_bits(rec)),
     ]
 
 
@@ -123,22 +147,25 @@ def main():
                          "bursts (3 windows of 600-900 samples, so T >= 2700 always does)")
     ap.add_argument("--repeats", type=int, default=5, help="best-of repeats per kernel")
     args = ap.parse_args()
-    try:
-        cases = build_cases(args.t)
-    except BadSpec as err:
-        ap.error(f"--t {args.t}: {err}")
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            cases = build_cases(args.t, tmp)
+        except BadSpec as err:
+            ap.error(f"--t {args.t}: {err}")
+        return run(cases, args)
 
+
+def run(cases, args):
     header = f"{'kernel':<30}{'ms':>12}{'us/step':>10}"
     print(header)
     print("-" * len(header))
     failures = []
-    for label, base, call, check in cases:
-        f = getattr(K, base)
+    for label, f, call, check in cases:
         problem = check(call(f))
         if problem:
             failures.append(f"{label}: {problem}")
         t = best_of(lambda: call(f), args.repeats)
-        per_step = f"{t * 1e6 / args.t:>10.2f}" if base in SCANS else ""
+        per_step = f"{t * 1e6 / args.t:>10.2f}" if f.__name__ in SCANS else ""
         print(f"{label:<30}{t * 1e3:>12.3f}{per_step}")
     for msg in failures:
         print(f"FAILED {msg}", file=sys.stderr)

@@ -9,7 +9,10 @@ none, behind.
 
 Each format is a table of numbers under an optional header, read and
 written by one pair of functions: a cell is any finite value Python's
-``float`` accepts, and every row has as many cells as the first line.
+``float`` accepts, and every row has as many cells as the first line. The
+writer formats ``_BLOCK_ROWS`` rows at a time; the reader reads the file at
+once and parses it in blocks of about ``_READ_BLOCK`` bytes of whole lines,
+so both bound their temporaries by one block.
 
 Formats:
 
@@ -26,6 +29,7 @@ import contextlib
 import itertools
 import math
 import os
+import re
 
 import numpy as np
 
@@ -48,6 +52,7 @@ __all__ = [
 
 _FMT = "%.17g"
 _BLOCK_ROWS = 4096  # rows formatted per write; bounds the writer's temporaries
+_READ_BLOCK = 1 << 18  # bytes of text parsed at a time; bounds the reader's temporaries
 
 
 @contextlib.contextmanager
@@ -76,9 +81,14 @@ def _write_table(path, header, table, fmt):
 
 
 def _parse(lines, width):
-    """All cells of ``lines`` -> (rows, width) array; ValueError on a bad cell."""
-    cells = itertools.chain.from_iterable(map(str.split, lines, itertools.repeat(",")))
-    return np.fromiter(map(float, cells), np.float64, len(lines) * width).reshape(-1, width)
+    """All cells of ``lines`` -> (rows, width) array; ValueError on a ragged line or a bad cell."""
+    if set(map(str.count, lines, itertools.repeat(","))) - {width - 1}:
+        raise ValueError("ragged")
+    cells = ",".join(lines).split(",")  # one row of `width` cells per line
+    table = np.fromiter(map(float, cells), np.float64, len(lines) * width).reshape(-1, width)
+    if not np.isfinite(table).all():
+        raise ValueError("non-finite")
+    return table
 
 
 def _first_bad_cell(path, lines, first, width):
@@ -100,6 +110,27 @@ def _first_bad_cell(path, lines, first, width):
     raise AssertionError("no bad cell in a table that failed to parse")
 
 
+def _line_blocks(path):
+    """The lines of file ``path``, as lists cut after a newline every ``_READ_BLOCK`` bytes.
+
+    A newline always ends a line and a CR LF pair never straddles a cut, so
+    the lines are those of the whole text's ``splitlines()``. The file is
+    read and checked for non-ASCII bytes before the first list.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.isascii():
+        at = re.search(rb"[\x80-\xff]", raw).start()
+        # the lines of the text before the byte, the byte's own line included
+        i = len((raw[:at].decode("ascii") + "?").splitlines())
+        raise MalformedInput(f"{path}: non-ASCII byte on line {i}", line=i)
+    start = 0
+    while start < len(raw):
+        stop = raw.find(b"\n", start + _READ_BLOCK - 1) + 1 or len(raw)
+        yield raw[start:stop].decode("ascii").splitlines()
+        start = stop
+
+
 def _read_table(path, header, checks=()):
     """Parse a CSV table -> (header cells, rows x columns float64 array).
 
@@ -107,17 +138,13 @@ def _read_table(path, header, checks=()):
     nonempty column names, or None for a file without one. Each check is a
     ``(message, flag_rows)`` pair; ``flag_rows(table)`` marks the rows that
     break a rule of the format. The table has one row per data line. It is
-    parsed in one pass; only when that fails is it scanned line by line to
-    locate the bad cell, and the checks then see NaN from that line on.
+    parsed block by block (see ``_line_blocks``), so the parser's temporaries
+    are bounded by one block. Only a block that fails is scanned line by line
+    to locate the bad cell; the blocks after it are counted, not parsed, and
+    the checks see NaN from the bad line on.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        lines = raw.decode("ascii").splitlines()
-    except UnicodeDecodeError as err:
-        # the lines of the text before the byte, the byte's own line included
-        i = len((raw[:err.start].decode("ascii") + "?").splitlines())
-        raise MalformedInput(f"{path}: non-ASCII byte on line {i}", line=i) from None
+    blocks = _line_blocks(path)
+    lines = next(blocks, [])
     if isinstance(header, str):
         if not lines or lines[0].strip() != header:
             raise MalformedInput(f"{path}: expected {header!r} header", line=1)
@@ -127,21 +154,22 @@ def _read_table(path, header, checks=()):
     if header is True and not all(names):
         raise MalformedInput(f"{path}: malformed header", line=1)
     first = 1 if header is None else 2  # line number of the first data row
-    body = lines[first - 1:]
-    if not body:
-        raise MalformedInput(f"{path}: no data rows", line=1)
     width = len(names)
-    stop, err = len(body), None  # the rows before `stop` are well-formed
-    try:
-        if set(map(str.count, body, itertools.repeat(","))) != {width - 1}:
-            raise ValueError("ragged")
-        table = _parse(body, width)
-        if not np.isfinite(table).all():
-            raise ValueError("non-finite")
-    except ValueError:
-        stop, err = _first_bad_cell(path, body, first, width)
-        table = np.full((len(body), width), np.nan)  # rows from `stop` on are unknown
-        table[:stop] = _parse(body[:stop], width)
+    parts, stop, err = [], 0, None  # the rows before `stop` are well-formed
+    for lines in itertools.chain([lines[first - 1:]], blocks):
+        part = np.full((len(lines), width), np.nan)  # rows from a bad line on are unknown
+        if err is None:
+            try:
+                part = _parse(lines, width)
+                stop += len(lines)
+            except ValueError:
+                row, err = _first_bad_cell(path, lines, first + stop, width)
+                part[:row] = _parse(lines[:row], width)
+                stop += row
+        parts.append(part)
+    table = np.concatenate(parts)
+    if not len(table):
+        raise MalformedInput(f"{path}: no data rows", line=1)
     for message, flag_rows in checks:
         bad = np.flatnonzero(flag_rows(table))
         if bad.size and bad[0] < stop:

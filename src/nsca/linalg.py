@@ -157,7 +157,10 @@ def _whitening_factor(B, reg_eps):
         raise ValueError("reg_eps must be finite and nonnegative")
     if reg_eps > 0:
         n = Bm.shape[0]
-        Bm = Bm + (reg_eps * np.trace(Bm) / n) * np.eye(n)
+        ridge = float(reg_eps) * float(np.trace(Bm)) / n  # Python floats overflow to inf silently
+        if not np.isfinite(ridge):
+            raise ValueError(f"reg_eps {reg_eps:g} makes the ridge overflow")
+        Bm = Bm + ridge * np.eye(n)
     try:
         return cholesky(Bm)
     except NotPositiveDefinite as err:
@@ -191,7 +194,7 @@ def gevd(A, B, order="ascending", reg_eps=0.0):
         Eigenvalue sort order of the returned pair.
     reg_eps : float
         Finite, nonnegative relative ridge added to ``B`` before factoring;
-        0 disables it.
+        0 disables it. A ridge that overflows raises ``ValueError``.
 
     Returns
     -------
@@ -244,7 +247,7 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
         unweighted mean of ``mats``.
     reg_eps : float
         Finite, nonnegative relative ridge added to the whitener before
-        factoring.
+        factoring. A ridge that overflows raises ``ValueError``.
     max_sweeps : int
         Rotation sweep budget.
 

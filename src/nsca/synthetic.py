@@ -142,9 +142,9 @@ def gen_mixture(n, T, burst, source_specs=None, seed=0, sample_rate_hz=500.0, mi
     n, T : int
         Channel count and length.
     burst : dict
-        Keys ``count``, ``min_len``, ``max_len``, ``amplitude`` and optional
-        ``source`` (index of the burst-confined source; defaults to the first
-        pulse-train spec, else the last source).
+        Keys ``count``, ``min_len``, ``max_len``, ``amplitude`` (finite and
+        nonnegative) and optional ``source`` (index of the burst-confined
+        source; defaults to the first pulse-train spec, else the last source).
     source_specs : sequence of str, optional
         One of ``"gaussian"``, ``"ar1:<pole>"``, ``"ecg:<rate>:<width>[:jitter]"``
         per source; :func:`default_source_specs` when omitted.
@@ -179,7 +179,7 @@ def gen_mixture(n, T, burst, source_specs=None, seed=0, sample_rate_hz=500.0, mi
         amplitude = float(burst["amplitude"])
     except (KeyError, TypeError) as err:
         raise BadSpec(f"burst needs count/min_len/max_len/amplitude: {err}") from err
-    if count < 1 or min_len < 1 or max_len < min_len or amplitude < 0:
+    if count < 1 or min_len < 1 or max_len < min_len or not 0 <= amplitude < np.inf:
         raise BadSpec("burst parameters out of range")
     burst_source = burst.get("source")
     if burst_source is None:

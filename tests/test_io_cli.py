@@ -2,6 +2,7 @@
 
 import errno
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -82,6 +83,29 @@ class TestRoundTrips:
         path = tmp_path / "spec.csv"
         write_spectra(path, S)
         assert np.array_equal(read_spectra(path), S)
+
+    def test_long_record_is_bit_identical(self, tmp_path):
+        # at T=1e5 the file spans dozens of the reader's blocks
+        rec = Record(awkward_floats(np.random.default_rng(6), (5, 100_000)), 1.0, list("abcde"))
+        path = tmp_path / "rec.csv"
+        write_record(path, rec)
+        assert path.stat().st_size > 20 * nsca.io._READ_BLOCK
+        assert read_record(path).samples.tobytes() == rec.samples.tobytes()
+
+
+def test_read_record_peak_memory(long_synth):
+    # room for the file's bytes, the parsed blocks, their concatenation and
+    # one block's text and cells, but not for the whole file's lines at once
+    path = long_synth / "record.csv"
+    read_record(path)
+    tracemalloc.start()
+    try:
+        rec = read_record(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.samples.shape == (5, 100_000)
+    assert peak <= path.stat().st_size + 3 * rec.samples.nbytes
 
 
 class TestWrittenBytes:
@@ -180,6 +204,7 @@ class TestMalformedInput:
 
     # one file per reader and defect: (reader, file text, 1-based line of the error)
     H_IDX, H_MASK, H_SPEC = "k,value\n", "k,label\n", "class,component,value\n"
+    GOOD = "1.5,-2\n" * 20
     CASES = {
         "record-ragged": (read_record, "a,b\n1,2\n3\n4,5\n", 3),
         "index-ragged": (read_index, H_IDX + "0,1\n1,2,3\n", 3),
@@ -234,6 +259,17 @@ class TestMalformedInput:
         "mask-label-3-of-3-rows": (read_mask, H_MASK + "0,0\n1,1\n2,3\n", 4),
         # the bound counts the rows after a bad line too: label 2 of 4 rows is fine
         "mask-label-bound-past-bad-line": (read_mask, H_MASK + "0,0\n1,2\nx,0\n3,0\n", 4),
+        # each defect after 20 good rows (over 140 bytes), so that the reader's
+        # blocks in TestMalformedInputInSmallBlocks put it in a later block
+        "record-late-bad-number": (read_record, "a,b\n" + GOOD + "3,x\n" + GOOD, 22),
+        "record-late-ragged": (read_record, "a,b\n" + GOOD + "3\n" + GOOD, 22),
+        "record-late-blank-line": (read_record, "a,b\n" + GOOD + "\n" + GOOD, 22),
+        "record-late-crlf": (read_record, ("a,b\n" + GOOD + "3,x\n").replace("\n", "\r\n"), 22),
+        "record-late-cr": (read_record, ("a,b\n" + GOOD + "3,x\n").replace("\n", "\r"), 22),
+        # label 50 of 62 rows is fine, but not of the rows up to the block after the bad line
+        "mask-late-label-bound-past-bad-line": (read_mask, H_MASK + "".join(
+            f"{k},0\n" for k in range(20)) + "20,50\nx,0\n" + "".join(
+            f"{k},0\n" for k in range(22, 62)), 23),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -285,6 +321,20 @@ class TestMalformedInput:
         with pytest.raises(MalformedInput) as err:
             read_mask(path)
         assert err.value.line == 3
+
+
+class TestMalformedInputInSmallBlocks(TestMalformedInput):
+    """Every malformed-input case again, with the reader's blocks cut after 1, 5 or 64 bytes."""
+
+    @pytest.fixture(autouse=True, params=[1, 5, 64])
+    def read_block(self, request, monkeypatch):
+        monkeypatch.setattr(nsca.io, "_READ_BLOCK", request.param)
+
+    def test_crlf_file(self, tmp_path):
+        # a cut in the middle of a CR LF pair would read as a blank line
+        path = tmp_path / "rec.csv"
+        path.write_bytes(b"a,b\r\n" + b"1.5,-2\r\n" * 20)
+        assert np.array_equal(read_record(path).samples.T, [[1.5, -2.0]] * 20)
 
 
 READERS = {"record": read_record, "index": read_index, "mask": read_mask,
@@ -365,6 +415,20 @@ def mutated_file(rng):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_readers_match_the_per_line_reference(tmp_path_factory, seed):
+    check_against_the_per_line_reference(tmp_path_factory, seed)
+
+
+@pytest.mark.filterwarnings("ignore:record has more channels than samples")
+@pytest.mark.parametrize("block", [1, 5, 64])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_readers_match_the_per_line_reference_in_small_blocks(tmp_path_factory, block, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nsca.io, "_READ_BLOCK", block)
+        check_against_the_per_line_reference(tmp_path_factory, seed)
+
+
+def check_against_the_per_line_reference(tmp_path_factory, seed):
     kind, text = mutated_file(np.random.default_rng(seed))
     path = tmp_path_factory.mktemp("csv") / "in.csv"
     path.write_text(text)
@@ -443,7 +507,20 @@ def synth_dir(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def long_synth(tmp_path_factory):
+    d = tmp_path_factory.mktemp("long")
+    assert main(["synth", "--n", "5", "--t", "100000", "--seed", "7", "--out-dir", str(d)]) == 0
+    return d
+
+
 class TestCliDetect:
+    def test_default_detectors_run_a_long_record(self, long_synth, tmp_path):
+        # the cubic EASI nonlinearity diverged on this record at step 3450
+        assert run(["detect", "--record", long_synth / "record.csv", "--out-dir", tmp_path]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ad.csv", "easi.csv", "envelope.csv", "innovation.csv"]
+
     def test_writes_indexes_and_summary(self, synth_dir, tmp_path, capsys):
         code = run(["detect", "--record", synth_dir / "record.csv",
                     "--detectors", "envelope,innovation",
@@ -656,6 +733,7 @@ class TestCliExitCodes:
         "lag-not-a-number": "separate --record {record} --two-round --target 0 --lags 1,x",
         "nan-reg-eps": "separate --record {record} --mask {mask} --reg-eps nan",
         "inf-reg-eps": "separate --record {record} --mask {mask} --reg-eps inf",
+        "huge-reg-eps": "separate --record {record} --index {index} --quantiles 3 --reg-eps 1e308",
         "negative-easi-step": "detect --record {record} --detectors easi --easi-step -1",
         "inf-easi-step": "detect --record {record} --detectors easi --easi-step inf",
         "negative-obs-noise-frac":
@@ -669,6 +747,10 @@ class TestCliExitCodes:
         "ecg-rate-inf": "synth --n 2 --t 1000 --sources gaussian,ecg:inf:0.05",
         "ecg-rate-1e300": "synth --n 2 --t 1000 --sources gaussian,ecg:1e300:0.05",
         "ecg-rate-nan": "synth --n 2 --t 1000 --sources gaussian,ecg:nan:0.05",
+        "nan-burst-amplitude": "synth --n 3 --t 2000 --count 1 --min-len 300 --max-len 400 "
+                               "--burst-amplitude nan",
+        "inf-burst-amplitude": "synth --n 3 --t 2000 --count 1 --min-len 300 --max-len 400 "
+                               "--burst-amplitude inf",
         "eval-index-without-truth-mask": "eval --est {record} --truth {record} --index {index}",
         # the usage error comes before any file is read
         "eval-est-mask-without-truth-mask":
@@ -698,6 +780,13 @@ class TestCliExitCodes:
             "separate --record {record} --mask {mask} --include-total",
     }
 
+    # the words the one error line must hold, where a case has a message to pin
+    MESSAGES = {
+        "nan-burst-amplitude": "burst parameters out of range",
+        "inf-burst-amplitude": "burst parameters out of range",
+        "huge-reg-eps": "reg_eps",
+    }
+
     @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
     def test_out_of_range_flag_is_usage_error(self, case, synth_dir, envelope_csv, tmp_path,
                                               capsys):
@@ -711,6 +800,7 @@ class TestCliExitCodes:
         assert [str(w.message) for w in caught] == []  # no numpy warning ahead of the check
         err = capsys.readouterr().err
         assert sum(line.startswith("nsca: ") for line in err.splitlines()) == 1
+        assert self.MESSAGES.get(case, "nsca: ") in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -300,3 +300,5 @@ def test_kernel_bench_runs():
     proc = subprocess.run([sys.executable, bench, "--t", "3000", "--repeats", "1"], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    for row in ("write_record T=3000 n=4", "read_record T=3000 n=4"):
+        assert row in proc.stdout
