@@ -8,12 +8,15 @@ Every case checks the status or convergence flag its kernel returns: the
 scans must run all T steps and the solvers must converge, so no row times an
 early exit. The script exits non-zero if any case fails that check. The
 eigensolver row times LAPACK ``eigh`` through ``_kernels.jacobi_eig``, which
-keeps its old name. The Anderson-Darling cases run the default window (64,
-blocks of 4096 windows) and a window of 200, whose blocks are shorter. The
-EASI cases run the cubic and the tanh nonlinearity on a prewhitened
-generator record at the CLI step (1e-4); the Kalman cases run a unit-noise
-model and a `fit_ar1_state_space` model of a generator record, where the
-scan switches to the steady-state gain.
+keeps its old name. The ``ajd_rotate`` cases run sets of K=2, n=5 (the
+README tour's multi-class shape), K=6, n=8 and K=10, n=8 (the two-round shape
+at n=8, lags 1..10); their per-step column is microseconds per sweep, from the
+sweep count the kernel returns. The Anderson-Darling cases run the default
+window (64, blocks of 4096 windows) and a window of 200, whose blocks are
+shorter. The EASI cases run the cubic and the tanh nonlinearity on a
+prewhitened generator record at the CLI step (1e-4); the Kalman cases run a
+unit-noise model and a `fit_ar1_state_space` model of a generator record,
+where the scan switches to the steady-state gain.
 
 The ``write_record`` and ``read_record`` rows write the 4-channel generator
 record to a temporary CSV file and read it back; the read row checks that
@@ -89,6 +92,18 @@ def same_bits(rec):
     return check
 
 
+def congruent_set(rng, K, n):
+    # K matrices R^T D_i R with one random R and positive diagonals D_i
+    R = rng.standard_normal((n, n))
+    return np.stack([R.T @ np.diag(0.5 + rng.random(n)) @ R for _ in range(K)])
+
+
+def ajd_case(M):
+    k, n = M.shape[:2]
+    return (f"ajd_rotate K={k} n={n}", K.ajd_rotate,
+            lambda f: f(M.copy(), np.ones(k), 200, 1e-10), ok_converged)
+
+
 def build_cases(T, tmp):
     rng = np.random.default_rng(0)
     n = 8
@@ -96,11 +111,7 @@ def build_cases(T, tmp):
     S = np.ascontiguousarray(G @ G.T + n * np.eye(n))
     L = np.linalg.cholesky(S)
     B = np.ascontiguousarray(rng.standard_normal((n, n)))
-    M = np.empty((6, n, n))
-    R = rng.standard_normal((n, n))
-    for i in range(6):
-        M[i] = R.T @ np.diag(0.5 + rng.random(n)) @ R
-    weights = np.ones(6)
+    M = congruent_set(rng, 6, n)
     x = rng.standard_normal(T)
     m = 4
     xt = np.ascontiguousarray(rng.standard_normal((T, m)))
@@ -127,7 +138,9 @@ def build_cases(T, tmp):
         ("cholesky 8x8", K.cholesky, lambda f: f(S, 0.0), ok_pivot),
         ("solve_lower 8x8", K.solve_lower, lambda f: f(L, B), ok_finite),
         ("LAPACK eigh 8x8", K.jacobi_eig, lambda f: f(S), ok_converged),
-        ("ajd_rotate K=6 n=8", K.ajd_rotate, lambda f: f(M.copy(), weights, 200, 1e-10), ok_converged),
+        ajd_case(congruent_set(np.random.default_rng(1), 2, 5)),
+        ajd_case(M),
+        ajd_case(congruent_set(np.random.default_rng(2), 10, 8)),
         (f"ad_sliding T={T} p=64", K.ad_sliding, lambda f: f(x, 64, 0.0, 1.0, 1e-12), ok_finite),
         (f"ad_sliding T={T} p=200", K.ad_sliding, lambda f: f(x, 200, 0.0, 1.0, 1e-12), ok_finite),
         (f"easi_scan cubic T={T} n={m}", K.easi_scan, lambda f: f(white, CLI_EASI_STEP, 0, 1e6), ok_status),
@@ -161,11 +174,13 @@ def run(cases, args):
     print("-" * len(header))
     failures = []
     for label, f, call, check in cases:
-        problem = check(call(f))
+        out = call(f)
+        problem = check(out)
         if problem:
             failures.append(f"{label}: {problem}")
         t = best_of(lambda: call(f), args.repeats)
-        per_step = f"{t * 1e6 / args.t:>10.2f}" if f.__name__ in SCANS else ""
+        steps = args.t if f.__name__ in SCANS else out[1] if f is K.ajd_rotate else 0
+        per_step = f"{t * 1e6 / steps:>10.2f}" if steps else ""
         print(f"{label:<30}{t * 1e3:>12.3f}{per_step}")
     for msg in failures:
         print(f"FAILED {msg}", file=sys.stderr)

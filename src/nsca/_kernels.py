@@ -7,8 +7,6 @@ taxonomy. ``benchmarks/bench_kernels.py`` times each kernel and checks its
 status.
 """
 
-import math
-
 import numpy as np
 from scipy.special import ndtr
 
@@ -73,42 +71,65 @@ def jacobi_eig(S):
 # ---------------------------------------------------------------------------
 # Weighted orthogonal approximate joint diagonalization (Jacobi rotations)
 # ---------------------------------------------------------------------------
+#
+# A sweep visits every pair (p, q) once, in the round-robin order of the
+# circle method (Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1), 1985): n - 1
+# rounds of n/2 disjoint pairs for even n, n rounds with one bye each for odd
+# n. A rotation in the (p, q) plane does not touch the (r, r), (s, s) and
+# (r, s) entries of a disjoint pair, so one round's angles can all be formed
+# first and its rotations applied as one orthogonal G; up to rounding, that
+# equals running its pairs one after another. Per pair the angle maximizes the weighted sum
+# of squared diagonal gains over the set (Cardoso & Souloumiac, SIAM J.
+# Matrix Anal. Appl. 17(1), 1996); an angle of at most 1e-18 is set to 0, so
+# that its rotation is the identity.
+
+_FLIP = np.array([[-1.0], [1.0]])
+
+
+def round_robin_pairs(n):
+    # The rounds of one sweep, each a pair of index arrays (p, q) with p < q.
+    m = n + n % 2  # for odd n each round drops its pair with the bye, m - 1
+    rounds = []
+    for r in range(m - 1):
+        ends = np.concatenate(([0], np.roll(np.arange(1, m), r)))
+        p, q = np.sort((ends[:m // 2], ends[:m // 2 - 1:-1]), axis=0)
+        if (q < n).any():
+            rounds.append((p[q < n], q[q < n]))
+    return rounds
+
 
 def ajd_rotate(M, w, max_sweeps, angle_tol):
     # M is a (K, n, n) stack modified in place; returns (Q, sweeps, converged).
-    # Q is stored as slice K of one (K + 1, n, n) stack, so one column rotation
-    # turns the set and Q. Per pair (p, q) the angle maximizes the weighted sum
-    # of squared diagonal gains over the set (2x2 subproblem in closed form).
+    # Q is stored as slice K of one (K + 1, n, n) stack, so one product with G
+    # turns the columns of the set and Q.
     K, n = M.shape[:2]
-    S = np.concatenate((M, np.eye(n)[None]))
-    Ms = S[:K]
+    eye = np.eye(n)
+    S = np.concatenate((M, eye[None]))
+    # per round, the flat indices of the (p, p), (p, q), (q, q) and (q, p) entries
+    rounds = [np.concatenate((p * n + p, p * n + q, q * n + q, q * n + p))
+              for p, q in round_robin_pairs(n)]
     sweeps, converged = max_sweeps, 0
     for sweep in range(max_sweeps):
         max_angle = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g1 = Ms[:, p, p] - Ms[:, q, q]
-                g2 = Ms[:, p, q] + Ms[:, q, p]
-                g00 = float(w.dot(g1 * g1))
-                g01 = float(w.dot(g1 * g2))
-                g11 = float(w.dot(g2 * g2))
-                ton = g00 - g11
-                toff = 2.0 * g01
-                theta = 0.5 * math.atan2(toff, ton + math.sqrt(ton * ton + toff * toff))
-                a = abs(theta)
-                if a > max_angle:
-                    max_angle = a
-                if a > 1e-18:
-                    c = math.cos(theta)
-                    s = math.sin(theta)
-                    cp, cq = S[:, :, p], S[:, :, q]
-                    S[:, :, p], S[:, :, q] = c * cp + s * cq, c * cq - s * cp
-                    rp, rq = Ms[:, p], Ms[:, q]
-                    Ms[:, p], Ms[:, q] = c * rp + s * rq, c * rq - s * rp
+        for idx in rounds:
+            x = S[:K].reshape(K, n * n).take(idx, axis=1).reshape(K, 2, 2, -1)
+            g = x[:, 0] + x[:, 1] * _FLIP  # g[:, 0] is M_pp - M_qq, g[:, 1] is M_pq + M_qp
+            gain = (w @ (g[:, :, None] * g[:, None]).reshape(K, -1)).reshape(2, 2, -1)
+            ton = gain[0, 0] - gain[1, 1]
+            toff = 2.0 * gain[0, 1]
+            theta = 0.5 * np.arctan2(toff, ton + np.sqrt(ton * ton + toff * toff))
+            a = np.abs(theta)
+            theta[a <= 1e-18] = 0.0
+            max_angle = max(max_angle, a.max())
+            c, s = np.cos(theta), np.sin(theta)
+            G = eye.copy()
+            G.flat[idx] = np.concatenate((c, -s, c, s))
+            S = (S.reshape(-1, n) @ G).reshape(K + 1, n, n)
+            S[:K] = G.T @ S[:K]
         if max_angle < angle_tol:
             sweeps, converged = sweep + 1, 1
             break
-    M[:] = Ms
+    M[:] = S[:K]
     return S[K], sweeps, converged
 
 

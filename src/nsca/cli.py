@@ -54,6 +54,7 @@ from .errors import (
     BadClass,
     BadComponent,
     BadSpec,
+    DegenerateSeries,
     InvalidWindow,
     MalformedInput,
     ModelMismatch,
@@ -161,8 +162,20 @@ DETECTORS = {
 }
 
 
+def _read_record(path):
+    """The record at ``path``; DegenerateSeries if a channel's sum of squares overflows."""
+    record = io.read_record(path)
+    with np.errstate(over="ignore"):
+        energy = np.einsum("ij,ij->i", record.samples, record.samples)
+    bad = np.flatnonzero(~np.isfinite(energy))
+    if bad.size:
+        raise DegenerateSeries(f"{path}: the second moments of channel {bad[0]} overflow "
+                               "float64; rescale the record")
+    return record
+
+
 def cmd_detect(args):
-    record = io.read_record(args.record)
+    record = _read_record(args.record)
     names = [d.strip() for d in args.detectors.split(",") if d.strip()]
     unknown = [d for d in names if d not in DETECTORS]
     if unknown:
@@ -224,7 +237,7 @@ def _build_partition(args, record):
 
 def cmd_separate(args):
     _check_class_flags(args)
-    record = io.read_record(args.record)
+    record = _read_record(args.record)
     if args.two_round:
         lags = range(1, 11) if args.lags is None else [int(v) for v in args.lags.split(",")]
         result = two_round_targeted(record, lags, args.target, reg_eps=args.reg_eps,

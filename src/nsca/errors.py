@@ -58,7 +58,8 @@ class InvalidWindow(NscaError):
 
 
 class DegenerateSeries(NscaError):
-    """A series without enough variation to fit a reference distribution."""
+    """A series without enough variation to fit a reference distribution, or
+    a record whose second moments overflow float64."""
 
 
 class DegenerateIndex(NscaError):

@@ -4,13 +4,16 @@ The symmetric eigendecomposition is LAPACK's, through ``numpy.linalg.eigh``.
 Cholesky, the triangular solves and the joint diagonalizer run on the
 package's own numpy kernels (``_kernels``) so that their failure behaviour is
 fully specified: Cholesky reports the failing pivot, the joint diagonalizer
-reports its sweep budget, and every tolerance is explicit. Matrices in this
-package are covariance-sized (a few dozen rows at most). Routing Cholesky and
-the triangular solves through ``scipy.linalg`` (``dpotrf``,
-``solve_triangular``) slowed the separation-only benchmark (``perfbench``
-``sep_wide``, n=8, on a 2-core Xeon) from about 250 to about 400 reference
-units per pass; scipy's wheel brings its own OpenBLAS and thread pool
-beside numpy's.
+reports its sweep budget, and every tolerance is explicit. A sweep of the
+joint diagonalizer rotates every pair of components once, in the round-robin
+order of the circle method: the pairs of one round are disjoint, so their
+rotations commute and are applied together as one orthogonal product.
+Matrices in this package are covariance-sized (a few dozen rows at most).
+Routing Cholesky and the triangular solves through ``scipy.linalg``
+(``dpotrf``, ``solve_triangular``) slowed the separation-only benchmark
+(``perfbench`` ``sep_wide``, n=8, on a 2-core Xeon) from about 250 to about
+400 reference units per pass; scipy's wheel brings its own OpenBLAS and
+thread pool beside numpy's.
 
 The package's sample covariance (``sample_cov``), ridged whitening factor and
 ``L^{-1} C L^{-T}`` congruence each have their one implementation here.
@@ -233,15 +236,21 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
     The set is congruence-whitened by the designated whitener (``B = L L^T``,
     ``M_i = L^{-1} C_i L^{-T}``), then jointly diagonalized by Jacobi-style
     Givens rotations whose angles maximize the weighted sum of squared
-    diagonal gains. The result ``W = L^{-T} Q`` satisfies
-    ``W.T @ whitener @ W = I`` exactly up to rounding.
+    diagonal gains. Each sweep rotates every pair of components once, in
+    round-robin order: n - 1 rounds of n/2 disjoint pairs (n rounds with one
+    component left out each for odd n), each round applied as one orthogonal
+    product. The result ``W = L^{-T} Q`` satisfies ``W.T @ whitener @ W = I``
+    exactly up to rounding. The order of its columns is not specified: it
+    follows from the pair order, and a different order finds the same
+    components in another order.
 
     Parameters
     ----------
     mats : sequence of SymMatrix or array_like
         Matrices to diagonalize jointly; at least one.
     weights : sequence of float, optional
-        Nonnegative weight per matrix; uniform if omitted.
+        Finite, nonnegative weight per matrix, not all zero; uniform if
+        omitted. Other weights raise ``ValueError``.
     whitener : SymMatrix or array_like, optional
         Positive definite matrix defining the metric. Defaults to the
         unweighted mean of ``mats``.
@@ -254,14 +263,14 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
     Returns
     -------
     (ndarray, float)
-        The demixer ``W`` (columns are components) and the weighted squared
-        off-diagonal residual of the transformed set.
+        The demixer ``W`` (columns are components, in no specified order)
+        and the weighted squared off-diagonal residual of the transformed set.
 
     Raises
     ------
     NoConvergence
         If the largest rotation angle has not dropped below 1e-10 within the
-        sweep budget.
+        sweep budget, or an angle is not finite.
     """
     stack = [as_sym(m).entries for m in mats]
     if len(stack) == 0:
@@ -276,8 +285,8 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (K,):
             raise ShapeMismatch("ajd: one weight per matrix")
-        if (w < 0).any():
-            raise ValueError("ajd: weights must be nonnegative")
+        if not (np.isfinite(w).all() and (w >= 0).all() and (w > 0).any()):
+            raise ValueError("ajd: weights must be finite and nonnegative, and not all zero")
     if whitener is None:
         whitener = SymMatrix(sum(stack) / K)
     L = _whitening_factor(whitener, reg_eps)
@@ -287,6 +296,9 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
         raise NoConvergence(
             f"joint diagonalization: rotation angles above tolerance after {sweeps} sweeps"
         )
+    if not np.isfinite(Q).all():
+        raise NoConvergence("joint diagonalization: the rotation angles are not finite; "
+                            "the whitened set is too large to square in float64")
     W = _kernels.solve_lower_t(L, Q)
     residual = off_diag_residual(W, mats, weights=w)
     return W, residual

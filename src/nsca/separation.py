@@ -139,8 +139,9 @@ def nsca_multi_class(record, part, include_total=False, weight_rule="cardinality
     Returns
     -------
     SeparationResult
-        ``order = "none"`` (joint diagonalization has no eigenvalue sort);
-        diagnostics carry the weighted off-diagonal residual.
+        ``order = "none"``: joint diagonalization has no eigenvalue sort,
+        and the order of the demixer's columns is not specified.
+        Diagnostics carry the weighted off-diagonal residual.
     """
     if not isinstance(part, Partition):
         raise TypeError("nsca_multi_class expects a Partition")
@@ -203,6 +204,9 @@ def two_round_targeted(record, lags, target_component, reg_eps=0.0, round2_theta
     its energy envelope reaches ``round2_theta`` of peak become the event
     class, and a two-class separation on the *original* record sharpens the
     component. Useful when one round-1 component is only roughly the target.
+    The order of the round-1 components is not specified, so which component
+    ``target_component`` names is known only from ``round1_demixer`` after
+    the fact.
 
     Returns
     -------

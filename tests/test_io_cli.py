@@ -552,6 +552,29 @@ class TestCliDetect:
         assert not list(tmp_path.iterdir())
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", [
+        ["detect", "--detectors", "envelope,ad"],
+        ["detect", "--detectors", "innovation"],
+        ["separate", "--mask", "mask.csv"],
+    ])
+    def test_overflowing_record_is_a_numeric_failure(self, command, tmp_path, capfd):
+        # samples near 1e307 are finite, but their squares are not
+        assert run(["synth", "--n", 3, "--t", 2000, "--count", 1, "--min-len", 300,
+                    "--max-len", 400, "--burst-amplitude", 1e307, "--out-dir", tmp_path]) == 0
+        capfd.readouterr()
+        args = [tmp_path / a if a.endswith(".csv") else a for a in command[1:]]
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run([command[0], "--record", tmp_path / "record.csv", *args, "--out-dir", out])
+        assert code == 4 and not caught
+        captured = capfd.readouterr()  # LAPACK writes its complaints to the process's stdout
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"nsca: {tmp_path / 'record.csv'}: the second moments of channel 0 overflow float64; "
+            "rescale the record"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", ["detect", "separate"])
     def test_emit_plot_data_flag_is_gone(self, subcommand, synth_dir, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -247,11 +249,25 @@ class TestAjd:
         with pytest.raises(NoConvergence):
             ajd(mats, max_sweeps=1)
 
+    def test_gains_that_overflow_raise(self):
+        # squares of the whitened entries overflow, so the angles are NaN
+        A = np.array([[1e160, 1e159], [1e159, 1.0]])
+        B = np.array([[2e160, -1e158], [-1e158, 3.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NoConvergence, match="not finite"):
+                ajd([A, B], whitener=np.eye(2))
+
     def test_weight_validation(self):
         with pytest.raises(ShapeMismatch):
             ajd([np.eye(2)], weights=[1.0, 2.0])
         with pytest.raises(ValueError):
             ajd([np.eye(2)], weights=[-1.0])
+        A, B = np.diag([1.0, 2.0]) + 0.5, np.diag([3.0, 1.0]) + 0.5
+        for bad in ([np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # rejected before numpy warns
+                with pytest.raises(ValueError, match="weights"):
+                    ajd([A, B], weights=bad)
 
 
 class TestOffDiagResidual:
