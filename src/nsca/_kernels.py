@@ -7,6 +7,8 @@ taxonomy. ``benchmarks/bench_kernels.py`` times each kernel and checks its
 status.
 """
 
+import functools
+
 import numpy as np
 from scipy.special import ndtr
 
@@ -72,65 +74,67 @@ def jacobi_eig(S):
 # Weighted orthogonal approximate joint diagonalization (Jacobi rotations)
 # ---------------------------------------------------------------------------
 #
-# A sweep visits every pair (p, q) once, in the round-robin order of the
-# circle method (Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1), 1985): n - 1
-# rounds of n/2 disjoint pairs for even n, n rounds with one bye each for odd
-# n. A rotation in the (p, q) plane does not touch the (r, r), (s, s) and
-# (r, s) entries of a disjoint pair, so one round's angles can all be formed
-# first and its rotations applied as one orthogonal G; up to rounding, that
-# equals running its pairs one after another. Per pair the angle maximizes the weighted sum
-# of squared diagonal gains over the set (Cardoso & Souloumiac, SIAM J.
+# A sweep visits every pair (p, q), p < q, once in row-cyclic order. Pairs
+# with the same p + q are disjoint, and of two pairs that share an index the
+# one with the smaller sum comes first in row-cyclic order. Rotations in
+# disjoint planes commute and leave each other's angles as they are, so running
+# the waves p + q = 1 .. 2n - 3 in turn, each as one orthogonal G, is the
+# row-cyclic sweep up to rounding. Per pair the angle maximizes the weighted
+# sum of squared diagonal gains over the set (Cardoso & Souloumiac, SIAM J.
 # Matrix Anal. Appl. 17(1), 1996); an angle of at most 1e-18 is set to 0, so
 # that its rotation is the identity.
 
-_FLIP = np.array([[-1.0], [1.0]])
+# maps a wave's (p,p), (p,q), (q,q), (q,p) entries to [g - f | 2g | g + f | f]
+# with g = M_pp - M_qq and f = M_pq + M_qp
+_GAIN_MAP = np.array([[1.0, 2, 1, 0], [-1, 0, 1, 1], [-1, -2, -1, 0], [-1, 0, 1, 1]])
 
 
-def round_robin_pairs(n):
-    # The rounds of one sweep, each a pair of index arrays (p, q) with p < q.
-    m = n + n % 2  # for odd n each round drops its pair with the bye, m - 1
-    rounds = []
-    for r in range(m - 1):
-        ends = np.concatenate(([0], np.roll(np.arange(1, m), r)))
-        p, q = np.sort((ends[:m // 2], ends[:m // 2 - 1:-1]), axis=0)
-        if (q < n).any():
-            rounds.append((p[q < n], q[q < n]))
-    return rounds
+def row_cyclic_waves(n):
+    # The pairs of one sweep as index arrays (p, q), grouped by p + q.
+    return [(p, s - p) for s in range(1, 2 * n - 2)
+            for p in [np.arange(max(0, s - n + 1), (s + 1) // 2)]]
+
+
+@functools.lru_cache(maxsize=64)
+def _wave_plan(K, n):
+    # Per wave: the flat indices of its entries in A and in G, the gain map,
+    # and its slice of the sweep's angles.
+    plan, o = [], 0
+    for p, q in row_cyclic_waves(n):
+        rows, cols = np.concatenate((p, p, q, q)), np.concatenate((p, q, q, p))
+        plan.append((rows * K * n + cols + n * np.arange(K)[:, None], rows * n + cols,
+                     np.kron(_GAIN_MAP, np.eye(p.size)), slice(o, o + p.size)))
+        o += p.size
+    return plan
 
 
 def ajd_rotate(M, w, max_sweeps, angle_tol):
-    # M is a (K, n, n) stack modified in place; returns (Q, sweeps, converged).
-    # Q is stored as slice K of one (K + 1, n, n) stack, so one product with G
-    # turns the columns of the set and Q.
+    # M is a (K, n, n) stack modified in place; returns (Q, sweeps, converged),
+    # converged 0 also after a NaN angle. A holds M[k, i, j] at [i, k, j].
     K, n = M.shape[:2]
-    eye = np.eye(n)
-    S = np.concatenate((M, eye[None]))
-    # per round, the flat indices of the (p, p), (p, q), (q, q) and (q, p) entries
-    rounds = [np.concatenate((p * n + p, p * n + q, q * n + q, q * n + p))
-              for p, q in round_robin_pairs(n)]
+    A = np.ascontiguousarray(M.transpose(1, 0, 2))
+    Q = eye = np.eye(n)
+    angles = np.zeros(n * (n - 1) // 2 + 1)  # one sweep's; the last stays 0
     sweeps, converged = max_sweeps, 0
     for sweep in range(max_sweeps):
-        max_angle = 0.0
-        for idx in rounds:
-            x = S[:K].reshape(K, n * n).take(idx, axis=1).reshape(K, 2, 2, -1)
-            g = x[:, 0] + x[:, 1] * _FLIP  # g[:, 0] is M_pp - M_qq, g[:, 1] is M_pq + M_qp
-            gain = (w @ (g[:, :, None] * g[:, None]).reshape(K, -1)).reshape(2, 2, -1)
-            ton = gain[0, 0] - gain[1, 1]
-            toff = 2.0 * gain[0, 1]
-            theta = 0.5 * np.arctan2(toff, ton + np.sqrt(ton * ton + toff * toff))
-            a = np.abs(theta)
-            theta[a <= 1e-18] = 0.0
-            max_angle = max(max_angle, a.max())
-            c, s = np.cos(theta), np.sin(theta)
+        for idx, gidx, B, sl in _wave_plan(K, n):
+            t = angles[sl]
+            D = (A.take(idx) @ B).reshape(K, 2, -1)
+            ton, toff = (w @ (D[:, 0] * D[:, 1])).reshape(2, -1)
+            np.arctan2(toff, ton + np.sqrt(ton * ton + toff * toff), out=t)
+            t *= 0.5
+            t[np.abs(t) <= 1e-18] = 0.0
+            c, s = np.cos(t), np.sin(t)
             G = eye.copy()
-            G.flat[idx] = np.concatenate((c, -s, c, s))
-            S = (S.reshape(-1, n) @ G).reshape(K + 1, n, n)
-            S[:K] = G.T @ S[:K]
-        if max_angle < angle_tol:
-            sweeps, converged = sweep + 1, 1
+            G.flat[gidx] = np.concatenate((c, -s, c, s))
+            A = G.T @ (A.reshape(-1, n) @ G).reshape(n, -1)
+            Q = Q @ G
+        max_angle = np.abs(angles).max()
+        if not max_angle >= angle_tol:
+            sweeps, converged = sweep + 1, int(max_angle < angle_tol)
             break
-    M[:] = S[:K]
-    return S[K], sweeps, converged
+    M[:] = A.reshape(n, K, n).transpose(1, 0, 2)
+    return Q, sweeps, converged
 
 
 # ---------------------------------------------------------------------------

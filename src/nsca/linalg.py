@@ -5,9 +5,9 @@ Cholesky, the triangular solves and the joint diagonalizer run on the
 package's own numpy kernels (``_kernels``) so that their failure behaviour is
 fully specified: Cholesky reports the failing pivot, the joint diagonalizer
 reports its sweep budget, and every tolerance is explicit. A sweep of the
-joint diagonalizer rotates every pair of components once, in the round-robin
-order of the circle method: the pairs of one round are disjoint, so their
-rotations commute and are applied together as one orthogonal product.
+joint diagonalizer rotates every pair of components once, in row-cyclic
+order; the pairs (p, q) with the same p + q are disjoint, so their rotations
+commute and are applied together as one orthogonal product.
 Matrices in this package are covariance-sized (a few dozen rows at most).
 Routing Cholesky and the triangular solves through ``scipy.linalg``
 (``dpotrf``, ``solve_triangular``) slowed the separation-only benchmark
@@ -237,12 +237,12 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
     ``M_i = L^{-1} C_i L^{-T}``), then jointly diagonalized by Jacobi-style
     Givens rotations whose angles maximize the weighted sum of squared
     diagonal gains. Each sweep rotates every pair of components once, in
-    round-robin order: n - 1 rounds of n/2 disjoint pairs (n rounds with one
-    component left out each for odd n), each round applied as one orthogonal
-    product. The result ``W = L^{-T} Q`` satisfies ``W.T @ whitener @ W = I``
-    exactly up to rounding. The order of its columns is not specified: it
-    follows from the pair order, and a different order finds the same
-    components in another order.
+    row-cyclic order, as 2n - 3 waves of disjoint pairs (those with the same
+    p + q), each wave applied as one orthogonal product. The result
+    ``W = L^{-T} Q`` satisfies ``W.T @ whitener @ W = I`` exactly up to
+    rounding. The order of its columns is not specified: it follows from the
+    pair order, and a different order finds the same components in another
+    order.
 
     Parameters
     ----------
@@ -293,12 +293,10 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
     M = np.stack([_congruence(L, C) for C in stack])
     Q, sweeps, converged = _kernels.ajd_rotate(M, w, max_sweeps, AJD_ANGLE_TOL)
     if not converged:
-        raise NoConvergence(
-            f"joint diagonalization: rotation angles above tolerance after {sweeps} sweeps"
-        )
-    if not np.isfinite(Q).all():
-        raise NoConvergence("joint diagonalization: the rotation angles are not finite; "
-                            "the whitened set is too large to square in float64")
+        raise NoConvergence("joint diagonalization: " + (
+            f"rotation angles above tolerance after {sweeps} sweeps" if np.isfinite(Q).all()
+            else "the rotation angles are not finite; the whitened set is too large to "
+                 "square in float64"))
     W = _kernels.solve_lower_t(L, Q)
     residual = off_diag_residual(W, mats, weights=w)
     return W, residual
