@@ -339,6 +339,18 @@ def test_ajd_rotate_matches_reference_to_convergence(seed, n, K):
     np.testing.assert_allclose(Q, Q_ref, rtol=0, atol=1e-10)
 
 
+def test_ajd_rotate_skips_angles_of_at_most_1e_18():
+    # the angle of this pair is about 1e-19; a rotation by it would move the
+    # off-diagonal entries and Q by about 1e-19, so the skip is seen exactly
+    M = np.array([[[2.0, 1e-19], [1e-19, 1.0]]])
+    Q, sweeps, converged = _kernels.ajd_rotate(M.copy(), np.ones(1), 200, 1e-10)
+    assert (sweeps, converged) == (1, 1)
+    assert (Q == np.eye(2)).all()
+    M_out = M.copy()
+    _kernels.ajd_rotate(M_out, np.ones(1), 200, 1e-10)
+    assert (M_out == M).all()
+
+
 def test_ajd_rotate_reports_a_nan_angle():
     # a NaN angle ends the sweeps unconverged, so linalg.ajd raises
     # NoConvergence instead of returning a NaN demixer
