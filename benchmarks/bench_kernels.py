@@ -18,6 +18,12 @@ prewhitened generator record at the CLI step (1e-4); the Kalman cases run a
 unit-noise model and a `fit_ar1_state_space` model of a generator record,
 where the scan switches to the steady-state gain.
 
+The ``class_covariances`` rows run the n=8, T=2e4, K=2 shape of the
+separation benchmark and an n=5, T=1e5, K=4 record, with random labels; each
+checks every class covariance and mean, and the total, against
+``sample_cov`` run directly on that class's columns and on the whole record,
+within the tolerance of the property test in ``tests/test_partition.py``.
+
 The ``write_record`` and ``read_record`` rows write the 4-channel generator
 record to a temporary CSV file and read it back; the read row checks that
 the table it reads equals the record bit for bit.
@@ -42,10 +48,18 @@ from nsca import io
 from nsca.cli import CLI_EASI_STEP
 from nsca.detectors import fit_ar1_state_space, prewhiten
 from nsca.errors import BadSpec
+from nsca.linalg import sample_cov
+from nsca.partition import Partition, class_covariances
+from nsca.records import Record
 from nsca.synthetic import DEFAULT_BURST, default_source_specs, gen_mixture
 
 # one step per sample
 SCANS = ("ad_sliding", "ar_sliding", "easi_scan", "kalman_scan", "write_record", "read_record")
+
+# class_covariances against the direct sample_cov: covariances relative to
+# max|C|, means relative to max|X|
+COV_TOL = 1e-10
+MEAN_TOL = 1e-12
 
 
 def best_of(fn, repeats):
@@ -90,6 +104,29 @@ def same_bits(rec):
         same = a.shape == b.shape and a.tobytes() == b.tobytes()
         return None if same else "the table read back differs from the written record"
     return check
+
+
+def matches_direct(rec, part):
+    X, labels = rec.samples, part.labels
+
+    def check(out):
+        pairs = [(out.covs[i], out.means[i], X[:, labels == i]) for i in range(part.K)]
+        for C, m, cols in pairs + [(out.total, out.total_mean, X)]:
+            C_ref, m_ref, _ = sample_cov(cols)
+            scale = np.abs(C_ref.entries).max()
+            if np.abs(C.entries - C_ref.entries).max() > COV_TOL * scale:
+                return "a covariance differs from the direct sample_cov"
+            if np.abs(m - m_ref).max() > MEAN_TOL * np.abs(X).max():
+                return "a mean differs from the direct sample_cov"
+        return None
+    return check
+
+
+def cov_case(rng, n, T, K):
+    rec = Record(rng.standard_normal((n, T)))
+    part = Partition(rng.integers(0, K, size=T), K=K)
+    return (f"class_covariances n={n} T={T} K={K}", class_covariances,
+            lambda f: f(rec, part), matches_direct(rec, part))
 
 
 def congruent_set(rng, K, n):
@@ -141,6 +178,8 @@ def build_cases(T, tmp):
         ajd_case(congruent_set(np.random.default_rng(1), 2, 5)),
         ajd_case(M),
         ajd_case(congruent_set(np.random.default_rng(2), 10, 8)),
+        cov_case(np.random.default_rng(3), 8, 20_000, 2),
+        cov_case(np.random.default_rng(4), 5, 100_000, 4),
         (f"ad_sliding T={T} p=64", K.ad_sliding, lambda f: f(x, 64, 0.0, 1.0, 1e-12), ok_finite),
         (f"ad_sliding T={T} p=200", K.ad_sliding, lambda f: f(x, 200, 0.0, 1.0, 1e-12), ok_finite),
         (f"easi_scan cubic T={T} n={m}", K.easi_scan, lambda f: f(white, CLI_EASI_STEP, 0, 1e6), ok_status),
@@ -169,7 +208,7 @@ def main():
 
 
 def run(cases, args):
-    header = f"{'kernel':<30}{'ms':>12}{'us/step':>10}"
+    header = f"{'kernel':<36}{'ms':>12}{'us/step':>10}"
     print(header)
     print("-" * len(header))
     failures = []
@@ -181,7 +220,7 @@ def run(cases, args):
         t = best_of(lambda: call(f), args.repeats)
         steps = args.t if f.__name__ in SCANS else out[1] if f is K.ajd_rotate else 0
         per_step = f"{t * 1e6 / steps:>10.2f}" if steps else ""
-        print(f"{label:<30}{t * 1e3:>12.3f}{per_step}")
+        print(f"{label:<36}{t * 1e3:>12.3f}{per_step}")
     for msg in failures:
         print(f"FAILED {msg}", file=sys.stderr)
     return 1 if failures else 0

@@ -17,6 +17,8 @@ thread pool beside numpy's.
 
 The package's sample covariance (``sample_cov``), ridged whitening factor and
 ``L^{-1} C L^{-T}`` congruence each have their one implementation here.
+``partition.class_covariances`` runs ``sample_cov`` once per class and builds
+the total covariance from those results, not from an estimator of its own.
 """
 
 from dataclasses import dataclass

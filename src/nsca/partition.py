@@ -7,6 +7,12 @@ as events the samples at or above ``theta_rel`` times the index's valid
 maximum; ``quantile_partition`` cuts the index at its ``j/K`` quantiles. No
 null distribution enters either rule: the paper's level-alpha hypothesis test
 is still open (ROADMAP item 2).
+
+``class_covariances`` sorts the record's columns by label once, so that each
+class is one contiguous run of columns, and runs ``linalg.sample_cov`` on each
+run. The total covariance is not a second pass over the record: it comes from
+the within/between scatter decomposition of the class results, so its bits
+differ from ``sample_cov`` of the whole record at rounding level.
 """
 
 from dataclasses import dataclass
@@ -20,7 +26,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import SymMatrix, sample_cov
-from .records import IndexSeries, as_record
+from .records import IndexSeries, as_int, as_record
 
 __all__ = [
     "Partition",
@@ -42,12 +48,15 @@ class Partition:
     __slots__ = ("labels", "K", "class_counts")
 
     def __init__(self, labels, K=None):
-        lab = np.array(labels, dtype=np.int64)
+        lab = np.asarray(labels)
         if lab.ndim != 1 or lab.size < 1:
             raise ShapeMismatch("labels must be a nonempty 1-D integer array")
-        if K is None:
-            K = max(int(lab.max()) + 1, 2)
-        K = int(K)
+        # integral floats (and bools) are labels; the int64 cast would
+        # truncate any other float, and warn on NaN, inf or |x| >= 2**63
+        if lab.dtype.kind == "f" and not ((abs(lab) < 2.0**63) & (lab == np.trunc(lab))).all():
+            raise ValueError("labels must be finite integers")
+        lab = np.array(lab, dtype=np.int64)
+        K = max(int(lab.max()) + 1, 2) if K is None else as_int(K, "K")
         if K < 2:
             raise ValueError("a partition needs at least 2 classes")
         if lab.min() < 0 or lab.max() >= K:
@@ -96,13 +105,14 @@ def threshold_mask(idx, theta_rel=0.5, min_event_len=1):
         raise TypeError("threshold_mask expects an IndexSeries")
     if not 0.0 < theta_rel <= 1.0:
         raise ValueError("theta_rel must be in (0, 1]")
+    min_event_len = as_int(min_event_len, "min_event_len")
     if min_event_len < 1:
         raise ValueError("min_event_len must be >= 1")
     valid = idx.valid_values()
     thr = theta_rel * valid.max()
     labels = np.zeros(idx.length, dtype=np.int64)
     labels[idx.valid_from:] = (valid >= thr).astype(np.int64)
-    labels = _erode_short_events(labels, int(min_event_len))
+    labels = _erode_short_events(labels, min_event_len)
     ones = int(labels.sum())
     if ones == 0:
         raise EmptyClass("no samples reach the threshold after erosion")
@@ -123,7 +133,7 @@ def quantile_partition(idx, K):
     """
     if not isinstance(idx, IndexSeries):
         raise TypeError("quantile_partition expects an IndexSeries")
-    K = int(K)
+    K = as_int(K, "K")
     if K < 2:
         raise ValueError("K must be >= 2")
     valid = idx.valid_values()
@@ -162,6 +172,17 @@ def class_covariances(record, part, weight_rule="cardinality"):
     (``1/K``). Every class must have at least ``n + 1`` samples so its
     covariance has full degrees of freedom.
 
+    The record is gathered once, in stable label order, so class ``i`` is a
+    contiguous run of columns holding ``X[:, labels == i]`` in record order;
+    ``sample_cov`` of that run gives ``C_i`` and ``m_i``. The totals come from
+    the scatter decomposition, with ``d_i = m_i - m_x``::
+
+        m_x = sum |P_i| m_i / T
+        (T - 1) C_x = sum (|P_i| - 1) C_i + sum |P_i| d_i d_i^T
+
+    Every term is positive semidefinite, so nothing cancels; ``C_x`` and
+    ``m_x`` differ from ``sample_cov`` of the whole record at rounding level.
+
     Raises
     ------
     ClassTooSmall
@@ -182,18 +203,25 @@ def class_covariances(record, part, weight_rule="cardinality"):
                 f"class {i} has {cnt} samples, needs at least {n + 1}",
                 class_index=i,
             )
-    X = record.samples
-    covs, means, _ = zip(*(sample_cov(X[:, part.labels == i]) for i in range(part.K)))
+    T = record.length
+    counts = part.class_counts
+    # class i is the run of columns ends[i] - counts[i] : ends[i]
+    Y = record.samples.take(np.argsort(part.labels, kind="stable"), axis=1)
+    ends = np.cumsum(counts)
+    covs, means = zip(*(sample_cov(Y[:, e - c:e])[:2] for c, e in zip(counts, ends)))
+    means = np.array(means)
+    total_mean = counts @ means / T
+    d = means - total_mean
+    scatter = sum((c - 1) * C.entries for c, C in zip(counts, covs)) + (counts * d.T) @ d
     if weight_rule == "cardinality":
-        weights = part.class_counts / record.length
+        weights = counts / T
     else:
         weights = np.full(part.K, 1.0 / part.K)
-    total, total_mean, _ = sample_cov(X)
     return CovarianceSet(
         covs=covs,
-        means=np.array(means),
+        means=means,
         weights=np.asarray(weights, dtype=np.float64),
-        counts=part.class_counts.copy(),
-        total=total,
+        counts=counts.copy(),
+        total=SymMatrix(scatter / (T - 1)),
         total_mean=total_mean,
     )

@@ -73,6 +73,17 @@ def as_record(record):
     return record if isinstance(record, Record) else Record(record)
 
 
+def as_int(value, name):
+    """``value`` as an int; ValueError unless it is an integral number."""
+    try:
+        out = int(value)
+    except (ValueError, OverflowError):  # NaN, inf, non-numeric strings
+        out = None
+    if out is None or out != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return out
+
+
 @dataclass
 class IndexSeries:
     """Per-sample nonstationarity index emitted by a detector.

@@ -17,7 +17,7 @@ from .detectors import energy_envelope
 from .errors import BadClass, BadComponent, ShapeMismatch
 from .linalg import SymMatrix, ajd, gevd, off_diag_residual, sample_cov, sym_eig
 from .partition import Partition, class_covariances, threshold_mask
-from .records import Record, as_record
+from .records import Record, as_int, as_record
 
 __all__ = [
     "SeparationResult",
@@ -168,6 +168,7 @@ def eigenratio_map(spectra, weights):
     ``d_j = L_j / sum_{i != j} w_i L_i`` elementwise, denominators floored at
     1e-12. ``best_component[j]`` is the argmax of ``d_j`` (ties to the lowest
     index); ``one_to_one`` says whether classes claim distinct components.
+    A non-finite weight raises ValueError.
     """
     S = np.asarray(spectra, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] == 0:
@@ -176,6 +177,8 @@ def eigenratio_map(spectra, weights):
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (K,):
         raise ShapeMismatch("one weight per class")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     # row j of terms holds w_i S_i, with 0 in place of class j; accumulating
     # along the rows sums the other classes left to right
     terms = np.where(np.eye(K, dtype=bool)[:, :, None], 0.0, w[:, None] * S)
@@ -215,7 +218,7 @@ def two_round_targeted(record, lags, target_component, reg_eps=0.0, round2_theta
         ``round1_residual`` and the round-2 mask counts.
     """
     record = as_record(record)
-    lags = [int(t) for t in lags]
+    lags = [as_int(t, "lag") for t in lags]
     if len(lags) == 0:
         raise ValueError("lags must be nonempty")
     if any(t < 1 for t in lags):
@@ -223,7 +226,7 @@ def two_round_targeted(record, lags, target_component, reg_eps=0.0, round2_theta
     if max(lags) >= record.length - 2:
         raise ValueError("max lag leaves no samples to correlate")
     n = record.channels
-    target = int(target_component)
+    target = as_int(target_component, "target_component")
     if not 0 <= target < n:
         raise BadComponent(f"component {target} outside [0, {n})")
     total, _, X = sample_cov(record.samples)

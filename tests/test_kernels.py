@@ -368,5 +368,6 @@ def test_kernel_bench_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     for row in ("write_record T=3000 n=4", "read_record T=3000 n=4", "ajd_rotate K=2 n=5",
-                "ajd_rotate K=6 n=8", "ajd_rotate K=10 n=8"):
+                "ajd_rotate K=6 n=8", "ajd_rotate K=10 n=8",
+                "class_covariances n=8 T=20000 K=2", "class_covariances n=5 T=100000 K=4"):
         assert row in proc.stdout

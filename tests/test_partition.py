@@ -1,10 +1,14 @@
 """Partitioning and class-covariance tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsca.errors import ClassTooSmall, DegenerateIndex, EmptyClass, ShapeMismatch
-from nsca.linalg import sym_eig
+from nsca.linalg import sample_cov, sym_eig
 from nsca.partition import (
     Partition,
     class_covariances,
@@ -39,6 +43,23 @@ class TestPartitionType:
         p = Partition([0, 1])
         with pytest.raises(ValueError):
             p.labels[0] = 5
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("labels", [[0.5, 1.7, 0.2], [0.0, np.nan], [0.0, np.inf], [0.0, 1e300]])
+    def test_non_integral_labels_rejected_before_the_cast(self, labels):
+        # the int64 cast would truncate fractions and warn on NaN, inf and 1e300
+        with pytest.raises(ValueError, match="finite integers"):
+            Partition(labels)
+
+    @pytest.mark.filterwarnings("error")
+    def test_integral_floats_and_bools_accepted(self):
+        assert Partition([0.0, 1.0, 2.0]).labels.tolist() == [0, 1, 2]
+        assert Partition(np.array([True, False, True])).class_counts.tolist() == [1, 2]
+        assert Partition([0, 1], K=np.float64(3.0)).K == 3
+
+    def test_fractional_k_rejected(self):
+        with pytest.raises(ValueError, match="K must be an integer"):
+            Partition([0, 1], K=2.5)
 
 
 class TestThresholdMask:
@@ -82,6 +103,11 @@ class TestThresholdMask:
         with pytest.raises(ValueError):
             threshold_mask(series([1.0, 2.0]), theta_rel=0.0)
 
+    def test_fractional_min_event_len_rejected(self):
+        # int(2.5) would erode runs shorter than 2, not 2.5
+        with pytest.raises(ValueError, match="min_event_len must be an integer"):
+            threshold_mask(series([0.0, 10.0, 10.0, 0.0]), min_event_len=2.5)
+
 
 class TestQuantilePartition:
     def test_median_split(self):
@@ -101,6 +127,11 @@ class TestQuantilePartition:
         part = quantile_partition(series([1.0, 2.0, 2.0, 3.0]), K=2)
         # the 50% quantile is exactly 2: tied samples stay in the lower bin
         assert part.labels.tolist() == [0, 0, 0, 1]
+
+    def test_fractional_k_rejected(self):
+        # int(2.5) would run K=2
+        with pytest.raises(ValueError, match="K must be an integer"):
+            quantile_partition(series([1.0, 2.0, 3.0, 4.0]), K=2.5)
 
     def test_labels_cover_every_sample(self):
         idx = series(np.random.default_rng(2).normal(size=777))
@@ -146,13 +177,14 @@ class TestClassCovariances:
         assert np.allclose(cs_u.weights, [0.5, 0.5])
 
     def test_total_scatter_decomposition(self):
-        # (T-1) C_x = sum (|P_i|-1) C_i + sum |P_i| (m_i - m_x)(m_i - m_x)^T
+        # (T-1) C_x = sum (|P_i|-1) C_i + sum |P_i| (m_i - m_x)(m_i - m_x)^T,
+        # with C_x from one pass over the whole record
         rng = np.random.default_rng(6)
         T = 600
         rec = Record(rng.normal(size=(3, T)) + rng.uniform(-2, 2, size=(3, 1)))
         labels = rng.integers(0, 3, size=T)
         cs = class_covariances(rec, Partition(labels, K=3))
-        lhs = (T - 1) * cs.total.entries
+        lhs = (T - 1) * sample_cov(rec.samples)[0].entries
         rhs = np.zeros((3, 3))
         for i in range(3):
             cnt = cs.counts[i]
@@ -176,3 +208,62 @@ class TestClassCovariances:
         rec = Record(np.ones((2, 30)))
         with pytest.raises(ShapeMismatch):
             class_covariances(rec, Partition(np.zeros(20, dtype=int)))
+
+    def test_record_and_labels_unchanged(self):
+        rng = np.random.default_rng(8)
+        rec = Record(rng.normal(size=(3, 300)))
+        part = Partition(rng.integers(0, 3, size=300), K=3)
+        samples, labels = rec.samples.copy(), part.labels.copy()
+        class_covariances(rec, part)
+        assert rec.samples.tobytes() == samples.tobytes()
+        assert np.array_equal(part.labels, labels)
+
+    @pytest.mark.parametrize("K", [2, 4])
+    def test_peak_memory(self, K):
+        # the sorted copy of the record plus one class's centred run
+        rng = np.random.default_rng(9)
+        rec = Record(rng.normal(size=(5, 100_000)))
+        part = Partition(rng.integers(0, K, size=100_000), K=K)
+        class_covariances(rec, part)
+        tracemalloc.start()
+        try:
+            class_covariances(rec, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * rec.samples.nbytes
+
+
+# Deviation of class_covariances from sample_cov run directly on each class
+# and on the whole record, relative to max|C|, measured over 300 random records
+# per offset: 2e-15 with DC offsets up to 10x the spread, 3e-14 up to 1e3x and
+# 3e-11 up to 1e6x. The class means' rounding, about eps * |offset|, reaches
+# the total only through sum |P_i| d_i d_i^T, so the deviation grows linearly
+# with offset / spread. At offsets up to 1e3x the spread, 1e-10 leaves a margin
+# of over 1000x; the means agree to about eps * log2(T) * max|X|.
+COV_TOL = 1e-10
+MEAN_TOL = 1e-12
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), K=st.integers(2, 6),
+       extra=st.integers(0, 400), offset_exp=st.integers(0, 3))
+def test_class_covariances_match_direct_sample_cov(seed, n, K, extra, offset_exp):
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.concatenate(
+        (np.repeat(np.arange(K), n + 1), rng.integers(0, K, size=extra))))
+    spread = rng.uniform(0.1, 10.0, size=(n, 1))
+    offset = rng.uniform(-1.0, 1.0, size=(n, 1)) * 10.0**offset_exp * spread
+    X = rng.normal(size=(n, labels.size)) * spread + offset
+    cs = class_covariances(Record(X), Partition(labels, K=K))
+
+    def assert_close(C, m, C_ref, m_ref):
+        assert np.abs(C.entries - C_ref.entries).max() <= COV_TOL * np.abs(C_ref.entries).max()
+        assert np.abs(m - m_ref).max() <= MEAN_TOL * np.abs(X).max()
+
+    for i in range(K):
+        C_ref, m_ref, _ = sample_cov(X[:, labels == i])
+        assert_close(cs.covs[i], cs.means[i], C_ref, m_ref)
+        assert cs.counts[i] == np.sum(labels == i)
+    C_ref, m_ref, _ = sample_cov(X)
+    assert_close(cs.total, cs.total_mean, C_ref, m_ref)

@@ -217,6 +217,12 @@ class TestEigenratioMap:
         with pytest.raises(ShapeMismatch):
             eigenratio_map(np.ones((2, 3)), weights=[1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # a NaN weight makes the other classes' ratios NaN; argmax maps them to 0
+        with pytest.raises(ValueError, match="finite"):
+            eigenratio_map(np.ones((2, 3)), weights=[1.0, bad])
+
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 12), n=st.integers(1, 6))
@@ -291,6 +297,19 @@ class TestTwoRound:
             two_round_targeted(rec, lags=[], target_component=0)
         with pytest.raises(ValueError):
             two_round_targeted(rec, lags=[0], target_component=0)
+
+    def test_fractional_lag_and_target_rejected(self):
+        # int() would truncate these to lags [1, 2] and component 1
+        rec, _ = self._ar_pair(17, T=2_000)
+        with pytest.raises(ValueError, match="lag"):
+            two_round_targeted(rec, lags=[1.5, 2], target_component=0)
+        with pytest.raises(ValueError, match="target_component"):
+            two_round_targeted(rec, lags=[1, 2], target_component=1.7)
+        with pytest.raises(ValueError, match="target_component"):
+            two_round_targeted(rec, lags=[1, 2], target_component=np.nan)
+        result = two_round_targeted(rec, lags=[1.0, np.int64(2)], target_component=np.float64(1))
+        assert result.diagnostics["lags"] == [1, 2]
+        assert result.diagnostics["target_component"] == 1
 
     def test_round2_diagnostics_attached(self):
         rec, _ = self._ar_pair(18)
