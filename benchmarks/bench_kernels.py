@@ -13,8 +13,12 @@ README tour's multi-class shape), K=6, n=8 and K=10, n=8 (the two-round shape
 at n=8, lags 1..10); their per-step column is microseconds per sweep, from the
 sweep count the kernel returns. The Anderson-Darling cases run the default
 window (64, blocks of 4096 windows) and a window of 200, whose blocks are
-shorter. The EASI cases run the cubic and the tanh nonlinearity on a
-prewhitened generator record at the CLI step (1e-4); the Kalman cases run a
+shorter; each fails unless its first 5000 windows equal, bit for bit, the
+formula that sorts each window and applies ndtr, clip and the logs to the
+sorted values. The EASI cases run the cubic and the tanh nonlinearity on a
+prewhitened generator record at the CLI step (1e-4); each fails unless its
+index over the first 2000 steps is within 1e-9 relative of a per-step loop
+that forms H from outer products. The Kalman cases run a
 unit-noise model and a `fit_ar1_state_space` model of a generator record,
 where the scan switches to the steady-state gain.
 
@@ -42,6 +46,7 @@ import tempfile
 import time
 
 import numpy as np
+from scipy.special import ndtr
 
 from nsca import _kernels as K
 from nsca import io
@@ -60,6 +65,11 @@ SCANS = ("ad_sliding", "ar_sliding", "easi_scan", "kalman_scan", "write_record",
 # max|C|, means relative to max|X|
 COV_TOL = 1e-10
 MEAN_TOL = 1e-12
+# easi_scan's index against a per-step loop over its first EASI_STEPS steps,
+# relative; ad_sliding's first AD_WINDOWS windows against the sorted-window
+# formula, bit for bit
+EASI_STEPS, EASI_RTOL = 2000, 1e-9
+AD_WINDOWS = 5000
 
 
 def best_of(fn, repeats):
@@ -103,6 +113,52 @@ def same_bits(rec):
         a, b = out.samples, rec.samples
         same = a.shape == b.shape and a.tobytes() == b.tobytes()
         return None if same else "the table read back differs from the written record"
+    return check
+
+
+def easi_loop(xt, lam, nonlin):
+    # the EASI index one step at a time, with H formed from outer products
+    n = xt.shape[1]
+    W, eye = np.eye(n), np.eye(n)
+    idx = np.empty(xt.shape[0])
+    for k, x in enumerate(xt):
+        y = W @ x
+        g = y ** 3 if nonlin == 0 else np.tanh(y)
+        H = np.outer(y, y) - eye + np.outer(g, y) - np.outer(y, g)
+        idx[k] = np.sqrt(np.sum(H * H))
+        W = W - lam * (H @ W)
+    return idx
+
+
+def matches_loop(xt, nonlin):
+    ref = easi_loop(xt[:EASI_STEPS], CLI_EASI_STEP, nonlin)
+
+    def check(out):
+        got = out[0][:ref.size]
+        if not np.all(np.abs(got - ref) <= EASI_RTOL * np.abs(ref)):
+            return f"the index differs from the per-step loop over {ref.size} steps"
+        return ok_status(out)
+    return check
+
+
+def sorted_window_ad(x, p, mu, sigma, fmin):
+    # A^2 of the first AD_WINDOWS windows: each window sorted, then ndtr,
+    # clip, log and log1p on the sorted values
+    z = np.sort(np.lib.stride_tricks.sliding_window_view(x, p)[:AD_WINDOWS], axis=1)
+    F = np.clip(ndtr((z - mu) / sigma), fmin, 1.0 - fmin)
+    i = np.arange(1, p + 1, dtype=np.float64)
+    acc = (np.einsum("ij,j->i", np.log(F), 2.0 * i - 1.0)
+           + np.einsum("ij,j->i", np.log1p(-F), 2.0 * (p - i + 1.0) - 1.0))
+    return -p - acc / p
+
+
+def matches_sorted_windows(x, p):
+    ref = sorted_window_ad(x, p, 0.0, 1.0, 1e-12)
+
+    def check(out):
+        if out[p - 1:][:ref.size].tobytes() != ref.tobytes():
+            return f"a window differs from the sorted-window formula in its first {ref.size}"
+        return ok_finite(out)
     return check
 
 
@@ -180,10 +236,14 @@ def build_cases(T, tmp):
         ajd_case(congruent_set(np.random.default_rng(2), 10, 8)),
         cov_case(np.random.default_rng(3), 8, 20_000, 2),
         cov_case(np.random.default_rng(4), 5, 100_000, 4),
-        (f"ad_sliding T={T} p=64", K.ad_sliding, lambda f: f(x, 64, 0.0, 1.0, 1e-12), ok_finite),
-        (f"ad_sliding T={T} p=200", K.ad_sliding, lambda f: f(x, 200, 0.0, 1.0, 1e-12), ok_finite),
-        (f"easi_scan cubic T={T} n={m}", K.easi_scan, lambda f: f(white, CLI_EASI_STEP, 0, 1e6), ok_status),
-        (f"easi_scan tanh T={T} n={m}", K.easi_scan, lambda f: f(white, CLI_EASI_STEP, 1, 1e6), ok_status),
+        (f"ad_sliding T={T} p=64", K.ad_sliding, lambda f: f(x, 64, 0.0, 1.0, 1e-12),
+         matches_sorted_windows(x, 64)),
+        (f"ad_sliding T={T} p=200", K.ad_sliding, lambda f: f(x, 200, 0.0, 1.0, 1e-12),
+         matches_sorted_windows(x, 200)),
+        (f"easi_scan cubic T={T} n={m}", K.easi_scan, lambda f: f(white, CLI_EASI_STEP, 0, 1e6),
+         matches_loop(white, 0)),
+        (f"easi_scan tanh T={T} n={m}", K.easi_scan, lambda f: f(white, CLI_EASI_STEP, 1, 1e6),
+         matches_loop(white, 1)),
         (f"kalman_scan T={T} n={m}", K.kalman_scan, lambda f: f(xt, F, H, Qm, Rm, x0, P0), ok_status),
         (f"kalman_scan fit T={T} n={m}", K.kalman_scan, lambda f: f(*fit_args), ok_status),
         (f"ar_sliding T={T} w=512 q=4", K.ar_sliding, lambda f: f(x, 512, 4, 1e-300), ok_windows),

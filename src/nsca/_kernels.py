@@ -141,27 +141,38 @@ def ajd_rotate(M, w, max_sweeps, angle_tol):
 # Sliding-window Anderson-Darling statistic against a fitted Gaussian
 # ---------------------------------------------------------------------------
 #
-# The windows run in blocks of max(1, _AD_BLOCK_ELEMS // p) windows, so
-# working memory is O(_AD_BLOCK_ELEMS + p), not O(T * p). At the default p
-# of 64 a block is 4096 windows. The weighted sums use einsum, which does not
-# call BLAS, so the output does not depend on the BLAS thread count.
+# The Gaussian is fitted once, so F = clip(ndtr((x - mu) / sigma)) and its
+# two logs belong to a sample, not to a window: they are computed once per
+# sample, in the order of the sorted series. A window's samples in ascending
+# order are then its sorted ranks in that order, and gathering both logs at
+# those ranks gives, value for value, the arrays a per-window sort of x
+# followed by ndtr, clip, log and log1p would give (tied samples have equal
+# logs), so the sums are the same to the last bit. The windows run in blocks
+# of max(1, _AD_BLOCK_ELEMS // p) windows, so working memory is
+# O(T + _AD_BLOCK_ELEMS), not O(T * p). At the default p of 64 a block is
+# 4096 windows. The weighted sums use einsum, which does not call BLAS, so
+# the output does not depend on the BLAS thread count.
 
 _AD_BLOCK_ELEMS = 4096 * 64
 
 
 def ad_sliding(x, p, mu, sigma, fmin):
-    out = np.zeros(x.shape[0])
-    win = np.lib.stride_tricks.sliding_window_view(x, p)
+    T = x.shape[0]
+    out = np.zeros(T)
+    order = np.argsort(x)
+    rank = np.empty(T, np.int32 if T <= np.iinfo(np.int32).max else np.intp)
+    rank[order] = np.arange(T)
+    F = np.clip(ndtr((x[order] - mu) / sigma), fmin, 1.0 - fmin)
+    log_f, log_sf = np.log(F), np.log1p(-F)
+    win = np.lib.stride_tricks.sliding_window_view(rank, p)
     i = np.arange(1, p + 1, dtype=np.float64)
     w_fwd = 2.0 * i - 1.0
     # sum_i (2i-1) log(1 - F(z_{p+1-i})) re-indexed onto ascending order
     w_rev = 2.0 * (p - i + 1.0) - 1.0
     block = max(1, _AD_BLOCK_ELEMS // p)
     for a in range(0, win.shape[0], block):
-        z = np.sort(win[a:a + block], axis=1)
-        F = ndtr((z - mu) / sigma)
-        np.clip(F, fmin, 1.0 - fmin, out=F)
-        acc = np.einsum("ij,j->i", np.log(F), w_fwd) + np.einsum("ij,j->i", np.log1p(-F), w_rev)
+        r = np.sort(win[a:a + block], axis=1).astype(np.intp)
+        acc = np.einsum("ij,j->i", log_f[r], w_fwd) + np.einsum("ij,j->i", log_sf[r], w_rev)
         out[p - 1:][a:a + block] = -p - acc / p
     return out
 
@@ -170,65 +181,91 @@ def ad_sliding(x, p, mu, sigma, fmin):
 # EASI adaptive separation: per-sample relative-gradient update
 # ---------------------------------------------------------------------------
 #
-# Each step is W <- W - lam H W with y = W x_k and
-# H = y y^T - I + g(y) y^T - y g(y)^T. With M = [y; g] (2 x n) and
-# E = [[1, -1], [1, 0]], H = M^T E M - I, so the step is the rank-2 update
-# W <- ((1 + lam) I - lam M^T E M) W: one n x n product. Its matrix is formed
-# by one product too, [M^T | I] @ [-lam E M; (1 + lam) I], from a per-step
-# buffer whose rows are y, g and then the identity. Neither the index
-# ||H||_F nor the cap check feeds back into the recursion, so both run
-# vectorized once per block of _EASI_BLOCK steps, over the stored y, g and W.
-# The index forms H entry by entry, as a per-step loop would: the closed form
-# (|y|^2 - 1)^2 + n - 1 + 2(|g|^2 |y|^2 - (g.y)^2) cancels badly when one
-# channel of y dominates (1e-6 relative at y = (1e3, 1e-3, 2e-3)).
-# A step is mostly call overhead: with out=, np.dot takes 1.2 us per 5x5 product against 1.9-2.8
-# us for matmul or @, and np.power 1.1 us with a 0-d exponent against 2.4 us with the int 3.
+# Each step is W <- A W with y = W x_k, g = g(y) and
+# A = (1 + lam) I - lam (y y^T + g y^T - y g^T), that is W - lam H W with
+# H = y y^T - I + g y^T - y g^T (Cardoso & Laheld, IEEE TSP 44(12), 1996).
+# The scan runs on W^T. Step j owns a buffer of rows, in order:
+#   W^T, at row 4r for the step's offset r in its refill window of
+#        _EASI_REFILL steps;
+#   for each sample left in the window, latest first, (W u)^T for
+#        u = x, -lam x, -x, lam x, so the step's own four rows come last;
+#   a fixed tail (0, e_i, (1 + lam) e_i) for each i.
+# A step makes three calls. g is odd, so g on the third of its four rows
+# (-y) leaves -g there. Over those four rows and the tail, C[1:]^T C[:-1]
+# sums the outer products of neighbouring rows, which is
+# A^T = (1 + lam) I - lam (y y^T + y g^T - g y^T). One product with A^T then
+# moves W^T and every later sample's rows of the window to the next step's
+# buffer, four rows lower, so they are again W u for the next W. Once per
+# window one product refills the sample rows from W^T; a window that the
+# series ends inside is padded with zero samples that never run. The index
+# ||H||_F and the cap check do not feed back into the recursion, so both run
+# vectorized once per block of _EASI_BLOCK steps over the y, -g and W^T the
+# buffers keep. The index forms H entry by entry, as a per-step loop would:
+# the closed form (|y|^2 - 1)^2 + n - 1 + 2(|g|^2 |y|^2 - (g.y)^2) cancels
+# badly when one channel of y dominates (1e-6 relative at
+# y = (1e3, 1e-3, 2e-3)). A step is mostly call overhead: with out=, np.dot
+# takes about 1.2 us per small product against 1.9-2.8 us for matmul or @,
+# and np.power 1.1 us with a 0-d exponent against 2.4 us with the int 3.
 
 _EASI_BLOCK = 256
+_EASI_REFILL = 16  # divides _EASI_BLOCK
 _THREE = np.array(3.0)
 
 
 def easi_scan(xt, lam, nonlin, cap):
-    # xt is (T, n) so each step reads a contiguous row. nonlin: 0 cubic, 1 tanh.
-    # Returns (index, W, status, where); status 1 means the recursion left
-    # [-cap, cap] (or went non-finite) at step `where`; the index is zero
-    # after it and W is the weights that step produced.
+    # xt is (T, n). nonlin: 0 cubic, 1 tanh. Returns (index, W, status,
+    # where); status 1 means the recursion left [-cap, cap] (or went
+    # non-finite) at step `where`; the index is zero after it and W is the
+    # weights that step produced.
     T, n = xt.shape
-    eye = np.eye(n)
-    W = eye
+    b = _EASI_REFILL
+    tail = n + 4 * b  # first row of the tail; the step's four rows end here
+    B = np.zeros((_EASI_BLOCK, tail + 3 * n, n))
+    B[:, tail + 1::3] = np.eye(n)
+    B[:, tail + 2::3] = (1.0 + lam) * np.eye(n)
+    B[0, :n] = np.eye(n)
+    At = np.empty((n, n))
+    g = np.power if nonlin == 0 else np.tanh
+    steps = []
+    for j, Bj in enumerate(B):
+        r = j % b
+        C = Bj[tail - 4:]
+        gargs = (C[2], _THREE, C[2]) if nonlin == 0 else (C[2], C[2])  # in place
+        Bn = B[(j + 1) % _EASI_BLOCK]
+        dst = Bn[:n] if r == b - 1 else Bn[4 * r + 4:tail]
+        steps.append((gargs, C[1:].T, C[:-1], Bj[4 * r:tail - 4], dst))
+    # where step j leaves W^T: in the next buffer, at row 4 (j + 1) mod b
+    nxt = (np.arange(_EASI_BLOCK) + 1) % _EASI_BLOCK
+    w_after = (nxt[:, None], 4 * (nxt % b)[:, None] + np.arange(n))
+    scale = np.array([1.0, -lam, -1.0, lam])[:, None]
     idx = np.zeros(T)
-    minus_lam_E = np.array([[-lam, lam], [-lam, 0.0]])
-    L = np.empty((_EASI_BLOCK, n + 2, n))  # per step: y, g, then I
-    L[:, 2:] = eye
-    R = np.empty((n + 2, n))  # -lam E M, then (1 + lam) I
-    R[2:] = (1.0 + lam) * eye
-    EM = R[:2]
-    A = np.empty((n, n))
-    Ws = np.empty((_EASI_BLOCK, n, n))
-    steps = [(Lj[0], Lj[1], Lj[:2], Lj.T, Wj) for Lj, Wj in zip(L, Ws)]
+    eye = np.eye(n)
     for a in range(0, T, _EASI_BLOCK):
         nb = min(_EASI_BLOCK, T - a)
+        X = np.zeros((-(-nb // b) * b, n))
+        X[:nb] = xt[a:a + nb]
+        U = (X.reshape(-1, b, 1, n)[:, ::-1] * scale).reshape(-1, 4 * b, n)
         # the steps after a divergence in this block may overflow; they are
         # discarded below
         with np.errstate(over="ignore", invalid="ignore"):
-            for (y, g, M, LT, Wj), x in zip(steps, xt[a:a + nb]):
-                np.dot(W, x, out=y)
-                if nonlin == 0:
-                    np.power(y, _THREE, out=g)
-                else:
-                    np.tanh(y, out=g)
-                np.dot(minus_lam_E, M, out=EM)
-                np.dot(LT, R, out=A)
-                W = np.dot(A, W, out=Wj)
-        bad = np.flatnonzero(~(np.abs(Ws[:nb]).max(axis=(1, 2)) <= cap))
+            for w, Uw in enumerate(U):
+                Bw = B[w * b]
+                np.dot(Uw, Bw[:n], out=Bw[n:tail])
+                for gargs, CT, C0, src, dst in steps[w * b:min(w * b + b, nb)]:
+                    g(*gargs)
+                    np.dot(CT, C0, out=At)
+                    np.dot(src, At, out=dst)
+        after = B[w_after][:nb]
+        bad = np.flatnonzero(~(np.abs(after).max(axis=(1, 2)) <= cap))
         stop = bad[0] + 1 if bad.size else nb
-        Y, G = L[:stop, 0, :, None], L[:stop, 1, :, None]
+        Y, G = B[:stop, tail - 4, :, None], -B[:stop, tail - 2, :, None]
         Yt, Gt = Y.transpose(0, 2, 1), G.transpose(0, 2, 1)
         H = Y * Yt - eye + G * Yt - Y * Gt
         idx[a:a + stop] = np.sqrt(np.sum(H * H, axis=(1, 2)))
         if bad.size:
-            return idx, Ws[stop - 1].copy(), 1, a + stop - 1
-    return idx, W.copy(), 0, -1
+            return idx, after[stop - 1].T.copy(), 1, a + stop - 1
+    r = T % b
+    return idx, B[T % _EASI_BLOCK, 4 * r:4 * r + n].T.copy(), 0, -1
 
 
 # ---------------------------------------------------------------------------

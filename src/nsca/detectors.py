@@ -36,7 +36,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import SymMatrix, _whitening_factor, as_sym, sample_cov, sym_eig
-from .records import IndexSeries, Record, as_record
+from .records import IndexSeries, Record, as_int, as_record
 
 __all__ = [
     "FittedCdf",
@@ -127,9 +127,12 @@ def anderson_darling_index(series, window=DEFAULT_AD_WINDOW, cdf=None):
 
     with ``F`` the reference CDF, clamped to [1e-12, 1 - 1e-12] before the
     logs. The statistic is invariant under affine maps applied jointly to the
-    series and the reference fit. The windows run in blocks of about
-    ``_kernels._AD_BLOCK_ELEMS`` samples, so working memory does not grow
-    with ``len(series) * p``.
+    series and the reference fit. ``F`` and both logs are computed once per
+    sample; each window gathers them at its sorted ranks in the whole
+    series, which gives the same values, and the same sums to the last bit,
+    as sorting the window and taking ``F`` and the logs there. The windows
+    run in blocks of about ``_kernels._AD_BLOCK_ELEMS`` samples, so working
+    memory does not grow with ``len(series) * p``.
 
     Parameters
     ----------
@@ -145,7 +148,7 @@ def anderson_darling_index(series, window=DEFAULT_AD_WINDOW, cdf=None):
         ``valid_from = p - 1``.
     """
     x = _as_series(series)
-    p = int(window)
+    p = as_int(window, "window")
     if not 1 <= p <= x.size:
         raise InvalidWindow(f"window {p} outside [1, {x.size}]")
     if cdf is None:
@@ -184,7 +187,7 @@ def energy_envelope(series, window=DEFAULT_ENVELOPE_WINDOW):
     scales the envelope by ``a**2``. ``valid_from = 0``.
     """
     x = _as_series(series)
-    w = int(window)
+    w = as_int(window, "window")
     if w < 1 or w % 2 == 0 or w > x.size:
         raise InvalidWindow(f"window must be odd, in [1, {x.size}]; got {w}")
     h = (w - 1) // 2
@@ -205,8 +208,8 @@ def cumulant_tracking(series, window=DEFAULT_CUMULANT_WINDOW, order=DEFAULT_CUMU
     expectation for Gaussian data). ``valid_from = window - 1``.
     """
     x = _as_series(series)
-    w = int(window)
-    order = int(order)
+    w = as_int(window, "window")
+    order = as_int(order, "order")
     if order not in (1, 2, 3, 4):
         raise ValueError("order must be 1, 2, 3 or 4")
     if not 1 <= w <= x.size:
@@ -322,8 +325,8 @@ def ar_tracking(series, window=DEFAULT_AR_WINDOW, ar_order=DEFAULT_AR_ORDER):
         ``valid_from = w - 1 + hop``.
     """
     x = _as_series(series)
-    w = int(window)
-    q = int(ar_order)
+    w = as_int(window, "window")
+    q = as_int(ar_order, "ar_order")
     if q < 1:
         raise InvalidWindow("ar_order must be >= 1")
     if w < 4 * q:
@@ -453,7 +456,7 @@ def kalman_innovation_index(record, model, window=DEFAULT_WHITENESS_WINDOW):
     adds no whiteness term. ``valid_from = window - 1``.
     """
     record = as_record(record)
-    w = int(window)
+    w = as_int(window, "window")
     if not 2 <= w <= record.length:
         raise InvalidWindow(f"window {w} outside [2, {record.length}]")
     e = normalized_innovations(record, model)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import BadSpec
 from .partition import Partition
-from .records import Record
+from .records import Record, as_int
 
 __all__ = [
     "GroundTruth",
@@ -163,8 +163,8 @@ def gen_mixture(n, T, burst, source_specs=None, seed=0, sample_rate_hz=500.0, mi
         (``BURST_EDGE_RAMP`` samples) so switching on is not itself a step
         discontinuity.
     """
-    n = int(n)
-    T = int(T)
+    n = as_int(n, "n")
+    T = as_int(T, "T")
     if n < 2 or T < 4:
         raise BadSpec("need n >= 2 and T >= 4")
     if source_specs is None:
@@ -173,9 +173,9 @@ def gen_mixture(n, T, burst, source_specs=None, seed=0, sample_rate_hz=500.0, mi
         raise BadSpec(f"need {n} source specs, got {len(source_specs)}")
     specs = [_parse_spec(s) for s in source_specs]
     try:
-        count = int(burst["count"])
-        min_len = int(burst["min_len"])
-        max_len = int(burst["max_len"])
+        count = as_int(burst["count"], "burst count")
+        min_len = as_int(burst["min_len"], "burst min_len")
+        max_len = as_int(burst["max_len"], "burst max_len")
         amplitude = float(burst["amplitude"])
     except (KeyError, TypeError) as err:
         raise BadSpec(f"burst needs count/min_len/max_len/amplitude: {err}") from err
@@ -185,7 +185,7 @@ def gen_mixture(n, T, burst, source_specs=None, seed=0, sample_rate_hz=500.0, mi
     if burst_source is None:
         ecg_slots = [i for i, s in enumerate(specs) if s[0] == "ecg"]
         burst_source = ecg_slots[0] if ecg_slots else n - 1
-    burst_source = int(burst_source)
+    burst_source = as_int(burst_source, "burst source")
     if not 0 <= burst_source < n:
         raise BadSpec(f"burst source {burst_source} outside [0, {n})")
 
@@ -238,7 +238,7 @@ def gen_ecg_like(rate_hz, sample_rate_hz, T, width_s, amplitude=1.0, jitter_pct=
     shortest interval must be at least one sample. Kernels sum where they
     overlap. ``seed`` may be an int or a Generator.
     """
-    T = int(T)
+    T = as_int(T, "T")
     if not all(0 < v < np.inf for v in (rate_hz, sample_rate_hz, width_s)):
         raise BadSpec("rate, sample rate and width must be positive and finite")
     if not 0 <= jitter_pct < 100:

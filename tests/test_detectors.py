@@ -14,7 +14,9 @@ from nsca.detectors import (
     cumulant_tracking,
     easi_index,
     energy_envelope,
+    fit_ar1_state_space,
     fit_gaussian_cdf,
+    kalman_innovation_index,
     normalize_index,
     prewhiten,
 )
@@ -380,3 +382,36 @@ def test_every_index_is_finite_past_warmup(seed):
     for idx in series:
         assert np.isfinite(idx.valid_values()).all(), idx.name
         assert np.all(idx.values[: idx.valid_from] == 0.0), idx.name
+
+
+def _detector_calls():
+    x = np.random.default_rng(21).normal(size=600)
+    rec = Record(np.vstack([x, np.random.default_rng(22).normal(size=600)]))
+    model = fit_ar1_state_space(rec)
+    return {
+        "ad window": lambda v: anderson_darling_index(x, window=v),
+        "envelope window": lambda v: energy_envelope(x, window=v),
+        "cumulant window": lambda v: cumulant_tracking(x, window=v),
+        "cumulant order": lambda v: cumulant_tracking(x, window=64, order=v),
+        "ar window": lambda v: ar_tracking(x, window=v),
+        "ar order": lambda v: ar_tracking(x, window=64, ar_order=v),
+        "innovation window": lambda v: kalman_innovation_index(rec, model, window=v),
+    }
+
+
+DETECTOR_INTS = {"ad window": 64, "envelope window": 5, "cumulant window": 64,
+                 "cumulant order": 3, "ar window": 64, "ar order": 2, "innovation window": 64}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("arg", sorted(DETECTOR_INTS))
+def test_integer_arguments_are_not_truncated(arg):
+    # int() would run energy_envelope(x, window=5.9) at window 5
+    call, good = _detector_calls()[arg], DETECTOR_INTS[arg]
+    name = arg.split()[-1]
+    for bad in (good + 0.9, good - 0.5, math.nan, math.inf, "5"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call(bad)
+    # an integral float runs as its int, with the same values and meta
+    want, got = call(good), call(float(good))
+    assert np.array_equal(got.values, want.values) and got.meta == want.meta

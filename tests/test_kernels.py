@@ -1,17 +1,24 @@
 """The vectorized kernels against step-by-step references.
 
-``ar_sliding`` computes every window at once from running sums, and
-``ad_sliding`` runs a strided view of the windows in blocks of about
-``_AD_BLOCK_ELEMS`` samples. Here windows are recomputed one at a time, by a
-Toeplitz solve of the window's autocovariances and by the direct
-Anderson-Darling sum over the sorted window. ``easi_scan`` runs a fused rank-2 step and checks its
-index and cap once per block; ``easi_reference`` is the per-step loop it
-replaced. ``ajd_rotate`` rotates the disjoint pairs of each row-cyclic wave
+``ar_sliding`` computes every window at once from running sums. Here its
+windows are recomputed one at a time by a Toeplitz solve of the window's
+autocovariances. ``ad_sliding`` computes the CDF and its two logs once per
+sample and gathers them, in blocks of about ``_AD_BLOCK_ELEMS`` samples, at
+each window's sorted ranks. It is checked against the direct
+Anderson-Darling sum over each sorted window, and bit for bit against
+``ad_sorted_windows``, which sorts each window and takes the CDF and the logs
+there. ``easi_scan`` runs each step on W^T as three numpy calls: the
+nonlinearity, one product that forms the update matrix, and one that applies
+it to W^T and to the rows of the samples left in its refill window of
+``_EASI_REFILL`` steps. It checks its index and cap once per block;
+``easi_reference`` is the per-step loop with the index and the cap check at
+every step. ``ajd_rotate`` rotates the disjoint pairs of each row-cyclic wave
 (p + q fixed) with one product; ``ajd_reference`` is the row-cyclic loop with
 one scalar rotation per pair.
 """
 
 import functools
+import importlib.util
 import math
 import os
 import subprocess
@@ -139,6 +146,44 @@ class TestAdBlocks:
         assert peak < 32e6  # all windows at once traced about 200 MB
 
 
+def ad_sorted_windows(x, p, mu, sigma, fmin):
+    # Reference for _kernels.ad_sliding: each block of windows sorted, then
+    # ndtr, clip, log and log1p on the sorted values and the kernel's two
+    # einsum sums, as the kernel ran before it gathered per-sample logs.
+    out = np.zeros(x.shape[0])
+    win = np.lib.stride_tricks.sliding_window_view(x, p)
+    i = np.arange(1, p + 1, dtype=np.float64)
+    w_fwd = 2.0 * i - 1.0
+    w_rev = 2.0 * (p - i + 1.0) - 1.0
+    block = max(1, _kernels._AD_BLOCK_ELEMS // p)
+    for a in range(0, win.shape[0], block):
+        z = np.sort(win[a:a + block], axis=1)
+        F = ndtr((z - mu) / sigma)
+        np.clip(F, fmin, 1.0 - fmin, out=F)
+        acc = np.einsum("ij,j->i", np.log(F), w_fwd) + np.einsum("ij,j->i", np.log1p(-F), w_rev)
+        out[p - 1:][a:a + block] = -p - acc / p
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 300), st.sampled_from([None, 0, 1]),
+       st.floats(-5.0, 5.0), st.floats(0.2, 5.0), st.integers(0, 2**32 - 1))
+def test_ad_sliding_is_bit_identical_to_sorted_windows(data, p, decimals, mu, sigma, seed):
+    # Window counts at and around a block edge, rounded samples for ties, and far-tail samples whose CDF clamps at fmin or
+    # 1 - fmin. Every gathered log is the double the per-window formula
+    # computes and the same contiguous rows are summed, so no bit may move.
+    block = max(1, _kernels._AD_BLOCK_ELEMS // p)
+    windows = data.draw(st.sampled_from([block - 1, block, block + 1, 2 * block + 3])
+                        | st.integers(1, 2 * p))
+    rng = np.random.default_rng(seed)
+    x = mu + sigma * rng.standard_normal(windows + p - 1)
+    if decimals is not None:
+        x = np.round(x, decimals)
+    x[rng.integers(0, x.size, size=3)] = mu + sigma * np.array([45.0, -45.0, 40.0])
+    out = _kernels.ad_sliding(x, p, mu, sigma, 1e-12)
+    assert out.tobytes() == ad_sorted_windows(x, p, mu, sigma, 1e-12).tobytes()
+
+
 def easi_reference(xt, lam, nonlin, cap):
     # Reference for _kernels.easi_scan: H formed from three outer products,
     # and the index and the cap check taken at every step.
@@ -159,6 +204,7 @@ def easi_reference(xt, lam, nonlin, cap):
 
 
 BLOCK = _kernels._EASI_BLOCK
+REFILL = _kernels._EASI_REFILL
 
 
 @functools.lru_cache(maxsize=None)
@@ -172,9 +218,9 @@ def broken_at(xt, k, kind, nonlin):
     # A copy whose sample k sends W out of the cap at step k: a NaN, or a
     # spike. The spike's channels differ in magnitude, so H has no entry that
     # cancels to near zero. The cubic spike is only about ten times what the
-    # cap needs, because there the fused step rounds its diagonal to about
-    # eps * |y|^2 relative against the loop's (the g_i y_i terms no longer
-    # cancel); with tanh, g stays below 1.
+    # cap needs, because there the kernel's update matrix rounds its
+    # diagonal to about eps * |y|^2 relative against the loop's (the g_i y_i
+    # terms no longer cancel); with tanh, g stays below 1.
     x = xt.copy()
     if kind == "nan":
         x[k, -1] = np.nan
@@ -208,6 +254,29 @@ class TestEasiScan:
         xt = broken_at(generator_input(5)[: 2 * BLOCK + 100], k, kind, nonlin)
         assert assert_easi_matches_reference(xt, nonlin) == (1, k)
 
+    @pytest.mark.parametrize("nonlin", [0, 1], ids=["cubic", "tanh"])
+    @pytest.mark.parametrize("T", [1, REFILL - 1, REFILL, REFILL + 1, BLOCK - 1, BLOCK + 1])
+    def test_lengths_around_a_refill_window(self, T, nonlin):
+        # a last window shorter than REFILL runs only its real steps
+        assert assert_easi_matches_reference(generator_input(5)[:T], nonlin) == (0, -1)
+
+    @pytest.mark.parametrize("kind", ["spike", "nan"])
+    @pytest.mark.parametrize("nonlin", [0, 1], ids=["cubic", "tanh"])
+    @pytest.mark.parametrize("k", [REFILL - 1, REFILL, REFILL + 1, BLOCK - REFILL,
+                                   BLOCK + REFILL - 1, BLOCK + REFILL])
+    def test_divergence_at_a_refill_edge(self, k, nonlin, kind):
+        # the broken sample's rows are filled a window ahead and then carried
+        # from step to step; the steps before it must not see them
+        xt = broken_at(generator_input(5)[: BLOCK + 2 * REFILL + 1], k, kind, nonlin)
+        assert assert_easi_matches_reference(xt, nonlin) == (1, k)
+
+    @pytest.mark.parametrize("nonlin", [0, 1], ids=["cubic", "tanh"])
+    def test_input_is_left_unchanged(self, nonlin):
+        xt = broken_at(generator_input(4)[: BLOCK + REFILL + 3], BLOCK + 1, "nan", nonlin)
+        before = xt.tobytes()
+        _kernels.easi_scan(xt, CLI_EASI_STEP, nonlin, EASI_DIVERGENCE_CAP)
+        assert xt.tobytes() == before
+
     @pytest.mark.parametrize("cap", [1.0005, 1.002, 1.004])
     def test_first_step_over_a_tight_cap(self, cap):
         # on this record max|W| climbs from 1 past 1.0044 by step 121, a few
@@ -228,7 +297,8 @@ class TestEasiScan:
 @given(st.data(), st.integers(2, 8), st.sampled_from([0, 1]), st.integers(1, 2 * BLOCK + 50))
 def test_easi_scan_matches_reference(data, n, nonlin, T):
     xt = generator_input(n)[:T]
-    k = data.draw(st.sampled_from([None, 0, BLOCK - 1, BLOCK, T - 1]) | st.integers(0, T - 1))
+    k = data.draw(st.sampled_from([None, 0, REFILL - 1, REFILL, BLOCK - 1, BLOCK, T - 1])
+                  | st.integers(0, T - 1))
     if k is not None and k < T:
         xt = broken_at(xt, k, data.draw(st.sampled_from(["spike", "nan"])), nonlin)
     assert_easi_matches_reference(xt, nonlin)
@@ -369,5 +439,30 @@ def test_kernel_bench_runs():
     assert proc.returncode == 0, proc.stderr
     for row in ("write_record T=3000 n=4", "read_record T=3000 n=4", "ajd_rotate K=2 n=5",
                 "ajd_rotate K=6 n=8", "ajd_rotate K=10 n=8",
-                "class_covariances n=8 T=20000 K=2", "class_covariances n=5 T=100000 K=4"):
+                "class_covariances n=8 T=20000 K=2", "class_covariances n=5 T=100000 K=4",
+                "ad_sliding T=3000 p=64", "ad_sliding T=3000 p=200",
+                "easi_scan cubic T=3000 n=4", "easi_scan tanh T=3000 n=4"):
         assert row in proc.stdout
+
+
+def test_kernel_bench_checks_catch_a_moved_result():
+    # the EASI rows allow 1e-9 relative over 2000 steps, the AD rows no bit
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "bench_kernels", os.path.join(root, "benchmarks", "bench_kernels.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    xt = generator_input(4)
+    out = _kernels.easi_scan(xt, CLI_EASI_STEP, 0, 1e6)
+    check = bench.matches_loop(xt, 0)
+    assert check(out) is None
+    idx = out[0].copy()
+    idx[bench.EASI_STEPS - 1] *= 1.0 + 1e-8
+    assert "per-step loop" in check((idx, *out[1:]))
+    x = np.random.default_rng(5).normal(size=bench.AD_WINDOWS + 100)
+    out = _kernels.ad_sliding(x, 64, 0.0, 1.0, 1e-12)
+    check = bench.matches_sorted_windows(x, 64)
+    assert check(out) is None
+    k = 63 + bench.AD_WINDOWS - 1
+    out[k] = np.nextafter(out[k], np.inf)
+    assert "sorted-window formula" in check(out)

@@ -150,6 +150,25 @@ class TestGenMixture:
             with pytest.raises(BadSpec):
                 gen_mixture(3, 2000, BURST, source_specs=["gaussian", spec, "gaussian"], seed=0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [3.7, 2.5, math.nan, math.inf, "3"])
+    @pytest.mark.parametrize("arg", ["n", "T", "count", "min_len", "max_len", "source"])
+    def test_integer_arguments_are_not_truncated(self, arg, bad):
+        # int() made gen_mixture(3.7, 5000.9, ...) a 3 x 5000 record
+        burst = dict(BURST, n=3, T=5000, source=2)
+        burst[arg] = bad
+        n, T = burst.pop("n"), burst.pop("T")
+        name = arg if arg in ("n", "T") else f"burst {arg}"
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            gen_mixture(n, T, burst, seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_integral_floats_accepted(self):
+        want, _ = gen_mixture(3, 2000, dict(BURST, source=2), seed=4)
+        got, _ = gen_mixture(3.0, np.float64(2000.0),
+                             dict(BURST, count=2.0, min_len=400.0, max_len=700.0, source=2.0), seed=4)
+        assert np.array_equal(got.samples, want.samples)
+
     def test_default_specs_cover_n(self):
         for n in (2, 5, 9):
             specs = default_source_specs(n)
@@ -201,6 +220,13 @@ class TestGenEcgLike:
         gen_ecg_like(250.0, 500.0, 1000, width_s=0.001, jitter_pct=50.0)
         with pytest.raises(BadSpec):
             gen_ecg_like(250.0, 500.0, 1000, width_s=0.001, jitter_pct=60.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_fractional_length_rejected(self):
+        for bad in (5000.9, math.nan, "5000"):
+            with pytest.raises(ValueError, match="T must be an integer"):
+                gen_ecg_like(2.0, 500.0, bad, width_s=0.02)
+        assert gen_ecg_like(2.0, 500.0, 5000.0, width_s=0.02).size == 5000
 
     @pytest.mark.parametrize("rate", [math.inf, 1e300, math.nan, 600.0])
     def test_rate_without_a_sample_per_beat_rejected(self, rate):
