@@ -3,8 +3,8 @@
 Kernels never raise on numeric failure. They return status codes (a failing
 pivot column, a divergence step, a converged flag) and the public wrappers in
 ``linalg``/``detectors`` translate those into the package's exception
-taxonomy. ``benchmarks/bench_kernels.py`` times each kernel and checks its
-status.
+taxonomy. ``perfbench/run.py --trace 1`` times each kernel on the benchmark
+workloads; ``tests/test_kernels.py`` checks each against a reference.
 """
 
 import functools
@@ -353,10 +353,13 @@ def kalman_scan(zt, F, H, Q, R, x0, P0):
 # Sliding-window autoregressive coefficients (Yule-Walker / Levinson-Durbin)
 # ---------------------------------------------------------------------------
 
-def ar_sliding(x, w, q, r0_tol):
+_AR_R0_TOL = 1e-300
+
+
+def ar_sliding(x, w, q):
     # Per trailing window: demean, biased autocovariances to lag q, then the
-    # Levinson-Durbin recursion. Windows where r0 <= r0_tol or the prediction
-    # error hits zero are flagged ok=0 and left as zero rows.
+    # Levinson-Durbin recursion. Windows where r0 <= _AR_R0_TOL or the
+    # prediction error hits zero are flagged ok=0 and left as zero rows.
     T = x.shape[0]
     coef = np.zeros((T, q))
     ok_full = np.zeros(T, dtype=np.uint8)
@@ -373,7 +376,7 @@ def ar_sliding(x, w, q, r0_tol):
         sum_t = S1[starts + w] - S1[starts + j]
         sum_tm = S1[starts + w - j] - S1[starts]
         c[j] = (term1 - mu * (sum_t + sum_tm) + (w - j) * mu * mu) / w
-    ok = c[0] > r0_tol
+    ok = c[0] > _AR_R0_TOL
     A = np.zeros((q, nwin))
     Anew = np.zeros((q, nwin))
     E = np.where(ok, c[0], 1.0)

@@ -90,10 +90,18 @@ def _as_series(series):
 
 @dataclass(frozen=True)
 class FittedCdf:
-    """Gaussian CDF fitted to a calibration stretch of data."""
+    """Gaussian CDF fitted to a calibration stretch of data.
+
+    ValueError unless ``mean`` is finite and ``0 < std < inf``.
+    """
 
     mean: float
     std: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.mean) and 0.0 < self.std < math.inf):
+            raise ValueError("need a finite mean and 0 < std < inf, "
+                             f"got mean={self.mean!r}, std={self.std!r}")
 
     def cdf(self, x):
         return ndtr((np.asarray(x, dtype=np.float64) - self.mean) / self.std)
@@ -105,16 +113,19 @@ def fit_gaussian_cdf(series):
     Raises
     ------
     DegenerateSeries
-        If the series is shorter than 2 samples or its variance falls below
-        1e-24 (no distribution to speak of).
+        If the series is shorter than 2 samples, or its variance falls below
+        1e-24 (no distribution to speak of) or overflows.
     """
     x = _as_series(series)
     if x.size < 2:
         raise DegenerateSeries("need at least 2 samples to fit a reference CDF")
-    var = float(np.var(x, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, var = float(np.mean(x)), float(np.var(x, ddof=1))
+    if not math.isfinite(var):
+        raise DegenerateSeries("series variance overflows")
     if var < 1e-24:
         raise DegenerateSeries("series variance below 1e-24")
-    return FittedCdf(mean=float(np.mean(x)), std=math.sqrt(var))
+    return FittedCdf(mean=mean, std=math.sqrt(var))
 
 
 def anderson_darling_index(series, window=DEFAULT_AD_WINDOW, cdf=None):
@@ -337,7 +348,7 @@ def ar_tracking(series, window=DEFAULT_AR_WINDOW, ar_order=DEFAULT_AR_ORDER):
     start = w - 1 + hop
     if start >= x.size:
         raise InvalidWindow("series leaves no room for coefficient tracking after warm-up")
-    coef, ok = _kernels.ar_sliding(x, w, q, 1e-300)
+    coef, ok = _kernels.ar_sliding(x, w, q)
     T = x.size
     values = np.zeros(T)
     k = np.arange(start, T)
@@ -460,7 +471,7 @@ def kalman_innovation_index(record, model, window=DEFAULT_WHITENESS_WINDOW):
     if not 2 <= w <= record.length:
         raise InvalidWindow(f"window {w} outside [2, {record.length}]")
     e = normalized_innovations(record, model)
-    rho = _kernels.ar_sliding(e, w, 1, 1e-300)[0][w - 1:, 0]
+    rho = _kernels.ar_sliding(e, w, 1)[0][w - 1:, 0]
     values = np.zeros(e.size)
     values[w - 1:] = _trailing_mean(e, w) + np.abs(rho)
     return IndexSeries(values, valid_from=w - 1, name="innovation", meta={"window": w})

@@ -102,13 +102,13 @@ class IndexSeries:
         v = np.array(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("index values must be a nonempty 1-D array")
+        self.valid_from = as_int(self.valid_from, "valid_from")
         if not 0 <= self.valid_from < v.size:
             raise ValueError("valid_from must lie inside the series")
         if not np.isfinite(v[self.valid_from:]).all():
             raise ValueError("index has non-finite values past its warm-up")
         v[: self.valid_from] = 0.0
         self.values = v
-        self.valid_from = int(self.valid_from)
         self.name = str(self.name)
 
     @property

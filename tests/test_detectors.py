@@ -53,6 +53,21 @@ class TestFitGaussianCdf:
         cdf = FittedCdf(mean=1.0, std=2.0)
         assert cdf.cdf(1.0) == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mean,std", [(0.0, -1.0), (0.0, 0.0), (0.0, math.inf),
+                                          (0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0)])
+    def test_reference_needs_finite_mean_and_positive_finite_std(self, mean, std):
+        # a negative std turns the AD index into nonsense, 0 divides by zero, inf flattens it
+        with pytest.raises(ValueError, match="0 < std < inf"):
+            FittedCdf(mean=mean, std=std)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_variance_rejected(self):
+        # the fit would be std=inf, which makes the AD index a constant
+        x = 1e200 * np.random.default_rng(0).normal(size=300)
+        with pytest.raises(DegenerateSeries, match="variance overflows"):
+            fit_gaussian_cdf(x)
+
 
 class TestAndersonDarling:
     def test_single_sample_at_median(self):
@@ -396,11 +411,13 @@ def _detector_calls():
         "ar window": lambda v: ar_tracking(x, window=v),
         "ar order": lambda v: ar_tracking(x, window=64, ar_order=v),
         "innovation window": lambda v: kalman_innovation_index(rec, model, window=v),
+        "index valid_from": lambda v: IndexSeries(x, valid_from=v, name="t"),
     }
 
 
 DETECTOR_INTS = {"ad window": 64, "envelope window": 5, "cumulant window": 64,
-                 "cumulant order": 3, "ar window": 64, "ar order": 2, "innovation window": 64}
+                 "cumulant order": 3, "ar window": 64, "ar order": 2, "innovation window": 64,
+                 "index valid_from": 3}
 
 
 @pytest.mark.filterwarnings("error")
@@ -413,5 +430,6 @@ def test_integer_arguments_are_not_truncated(arg):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             call(bad)
     # an integral float runs as its int, with the same values and meta
-    want, got = call(good), call(float(good))
-    assert np.array_equal(got.values, want.values) and got.meta == want.meta
+    want = call(good)
+    for got in (call(float(good)), call(np.float64(good))):
+        assert np.array_equal(got.values, want.values) and got.meta == want.meta

@@ -18,7 +18,6 @@ one scalar rotation per pair.
 """
 
 import functools
-import importlib.util
 import math
 import os
 import subprocess
@@ -65,7 +64,7 @@ class TestArSliding:
     @pytest.mark.parametrize("w,q", [(64, 2), (200, 5)])
     def test_windows_match_toeplitz_solve(self, w, q):
         x = ar2_series(1500, seed=w)
-        coef, ok = _kernels.ar_sliding(x, w, q, 1e-300)
+        coef, ok = _kernels.ar_sliding(x, w, q)
         assert not ok[: w - 1].any() and not coef[: w - 1].any()
         for k in (w - 1, 700, x.size - 1):
             assert ok[k]
@@ -387,7 +386,7 @@ def test_ajd_rotate_matches_reference(data, K, n, max_sweeps, angle_tol):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(2, 6))
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(2, 10))
 def test_ajd_rotate_matches_reference_to_convergence(seed, n, K):
     # On an identifiable set (the recipe of the linalg recovery property) the
     # rounding of the batched waves does not build up over the sweeps: the
@@ -427,42 +426,3 @@ def test_ajd_rotate_reports_a_nan_angle():
     M = np.array([[[1.0, np.nan], [np.nan, 2.0]]])
     _, sweeps, converged = _kernels.ajd_rotate(M, np.ones(1), 200, 1e-10)
     assert (sweeps, converged) == (1, 0)
-
-
-def test_kernel_bench_runs():
-    # the timing harness calls every kernel by signature and checks each status
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    bench = os.path.join(root, "benchmarks", "bench_kernels.py")
-    proc = subprocess.run([sys.executable, bench, "--t", "3000", "--repeats", "1"], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    for row in ("write_record T=3000 n=4", "read_record T=3000 n=4", "ajd_rotate K=2 n=5",
-                "ajd_rotate K=6 n=8", "ajd_rotate K=10 n=8",
-                "class_covariances n=8 T=20000 K=2", "class_covariances n=5 T=100000 K=4",
-                "ad_sliding T=3000 p=64", "ad_sliding T=3000 p=200",
-                "easi_scan cubic T=3000 n=4", "easi_scan tanh T=3000 n=4"):
-        assert row in proc.stdout
-
-
-def test_kernel_bench_checks_catch_a_moved_result():
-    # the EASI rows allow 1e-9 relative over 2000 steps, the AD rows no bit
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "bench_kernels", os.path.join(root, "benchmarks", "bench_kernels.py"))
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    xt = generator_input(4)
-    out = _kernels.easi_scan(xt, CLI_EASI_STEP, 0, 1e6)
-    check = bench.matches_loop(xt, 0)
-    assert check(out) is None
-    idx = out[0].copy()
-    idx[bench.EASI_STEPS - 1] *= 1.0 + 1e-8
-    assert "per-step loop" in check((idx, *out[1:]))
-    x = np.random.default_rng(5).normal(size=bench.AD_WINDOWS + 100)
-    out = _kernels.ad_sliding(x, 64, 0.0, 1.0, 1e-12)
-    check = bench.matches_sorted_windows(x, 64)
-    assert check(out) is None
-    k = 63 + bench.AD_WINDOWS - 1
-    out[k] = np.nextafter(out[k], np.inf)
-    assert "sorted-window formula" in check(out)
