@@ -10,7 +10,6 @@ workloads; ``tests/test_kernels.py`` checks each against a reference.
 import functools
 
 import numpy as np
-from scipy.special import ndtr
 
 # Kept for run metadata: the kernels have no numba path.
 HAVE_NUMBA = False
@@ -157,6 +156,7 @@ _AD_BLOCK_ELEMS = 4096 * 64
 
 
 def ad_sliding(x, p, mu, sigma, fmin):
+    from scipy.special import ndtr  # here, so `import nsca.cli` does not load scipy.special
     T = x.shape[0]
     out = np.zeros(T)
     order = np.argsort(x)

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import _kernels
 from .errors import (
@@ -104,6 +103,7 @@ class FittedCdf:
                              f"got mean={self.mean!r}, std={self.std!r}")
 
     def cdf(self, x):
+        from scipy.special import ndtr  # here, so `import nsca.cli` does not load scipy.special
         return ndtr((np.asarray(x, dtype=np.float64) - self.mean) / self.std)
 
 

@@ -9,10 +9,12 @@ none, behind.
 
 Each format is a table of numbers under an optional header, read and
 written by one pair of functions: a cell is any finite value Python's
-``float`` accepts, and every row has as many cells as the first line. The
+``float`` accepts, except one holding ``_``; every line after the header is
+a row with as many cells as the first line, so a blank line is a bad row. The
 writer formats ``_BLOCK_ROWS`` rows at a time; the reader reads the file at
-once and parses it in blocks of about ``_READ_BLOCK`` bytes of whole lines,
-so both bound their temporaries by one block.
+once and hands blocks of about ``_READ_BLOCK`` bytes of whole lines to
+numpy's C reader, which converts a cell with the correctly rounded routine
+behind ``float``. Both bound their temporaries by one block.
 
 Formats:
 
@@ -81,11 +83,17 @@ def _write_table(path, header, table, fmt):
 
 
 def _parse(lines, width):
-    """All cells of ``lines`` -> (rows, width) array; ValueError on a ragged line or a bad cell."""
-    if set(map(str.count, lines, itertools.repeat(","))) - {width - 1}:
-        raise ValueError("ragged")
-    cells = ",".join(lines).split(",")  # one row of `width` cells per line
-    table = np.fromiter(map(float, cells), np.float64, len(lines) * width).reshape(-1, width)
+    """All cells of ``lines`` -> (rows, width) array; ValueError on a bad line or cell.
+
+    ``loadtxt`` rejects ``_``, which ``float`` takes. It skips blank lines
+    and strips the byte 0x1f like a space, which ``float`` does not, so a
+    missing row or a 0x1f byte fails the block too.
+    """
+    table = np.empty((0, width))
+    if any(lines):  # loadtxt warns on input with no data: no lines, or only empty ones
+        table = np.loadtxt(lines, np.float64, delimiter=",", comments=None, ndmin=2)
+    if table.shape != (len(lines), width) or "\x1f" in "".join(lines):
+        raise ValueError("blank line or bad cell")
     if not np.isfinite(table).all():
         raise ValueError("non-finite")
     return table
@@ -102,6 +110,8 @@ def _first_bad_cell(path, lines, first, width):
             )
         for cell in cells:
             try:
+                if "_" in cell:  # float reads "1_0" as 10; the format does not
+                    raise ValueError(cell)
                 v = float(cell)
             except ValueError:
                 return row, MalformedInput(f"{path}: bad number {cell!r} on line {i}", line=i)

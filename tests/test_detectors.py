@@ -20,10 +20,11 @@ from nsca.detectors import (
     normalize_index,
     prewhiten,
 )
-from nsca.cli import main
+from nsca.cli import CLI_EASI_G, CLI_EASI_STEP, main
 from nsca.errors import DegenerateSeries, Diverged, InvalidWindow
 from nsca.io import read_index, write_record
 from nsca.records import IndexSeries, Record, standardize
+from nsca.synthetic import DEFAULT_BURST, default_source_specs, gen_mixture
 
 STD_NORMAL = FittedCdf(mean=0.0, std=1.0)
 Q75 = 0.6744897501960817  # standard normal 75% quantile
@@ -246,6 +247,15 @@ class TestEasi:
     def test_step_must_be_positive_and_finite(self, step):
         with pytest.raises(ValueError, match="step"):
             easi_index(Record(np.ones((2, 10))), step=step)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cli_easi_runs_every_step_of_a_generated_record(seed):
+    # what `synth` then the default `detect` run, at a realistic length
+    rec, _ = gen_mixture(5, 50_000, DEFAULT_BURST, default_source_specs(5), seed=seed)
+    idx = easi_index(prewhiten(rec), CLI_EASI_STEP, CLI_EASI_G)  # Diverged names a failed step
+    assert idx.length == 50_000 and np.isfinite(idx.values).all()
 
 
 class TestPrewhiten:

@@ -1,6 +1,7 @@
 """CSV and command-line interface tests."""
 
 import errno
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -229,6 +230,11 @@ class TestMalformedInput:
         "matrix-blank-line": (read_matrix, "1,2\n\n3,4\n", 2),
         "spectra-blank-line": (read_spectra, H_SPEC + "0,0,1\n\n0,1,2\n", 3),
         "record-trailing-blank-line": (read_record, "a,b\n1,2\n\n", 3),
+        "record-spaces-line": (read_record, "a,b\n1,2\n   \n3,4\n", 3),
+        "record-1ch-spaces-line": (read_record, "a\n1\n  \n3\n", 3),
+        # float reads "1_0" as 10 and numpy's reader takes 0x1f for a space; the format does neither
+        "spectra-underscore": (read_spectra, H_SPEC + "0,0,1\n0,1,0_1\n", 3),
+        "matrix-unit-separator": (read_matrix, "1,2\n3,4\x1f\n", 2),
         "record-bad-header": (read_record, "a,,c\n1,2,3\n", 1),
         "index-bad-header": (read_index, "k,val\n0,1\n", 1),
         "index-missing-header": (read_index, "0,1\n1,2\n", 1),
@@ -264,6 +270,11 @@ class TestMalformedInput:
         "record-late-bad-number": (read_record, "a,b\n" + GOOD + "3,x\n" + GOOD, 22),
         "record-late-ragged": (read_record, "a,b\n" + GOOD + "3\n" + GOOD, 22),
         "record-late-blank-line": (read_record, "a,b\n" + GOOD + "\n" + GOOD, 22),
+        "record-late-blank-lines": (read_record, "a,b\n" + GOOD + "\n\n\n" + GOOD, 22),
+        "record-late-spaces-line": (read_record, "a,b\n" + GOOD + " \n" + GOOD, 22),
+        "record-1ch-late-blank-line": (read_record, "a\n" + "1.5\n" * 40 + "\n" + "2\n", 42),
+        "record-late-underscore": (read_record, "a,b\n" + GOOD + "1_0,3\n" + GOOD, 22),
+        "record-late-unit-separator": (read_record, "a,b\n" + GOOD + "3,4\x1f\n" + GOOD, 22),
         "record-late-crlf": (read_record, ("a,b\n" + GOOD + "3,x\n").replace("\n", "\r\n"), 22),
         "record-late-cr": (read_record, ("a,b\n" + GOOD + "3,x\n").replace("\n", "\r"), 22),
         # label 50 of 62 rows is fine, but not of the rows up to the block after the bad line
@@ -314,6 +325,41 @@ class TestMalformedInput:
         assert err.value.line == line
         assert f"non-ASCII byte on line {line}" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["1_0", "\x1f3"])
+    def test_cell_that_float_or_numpy_alone_reads_is_a_bad_number(self, tmp_path, cell):
+        path = tmp_path / "rec.csv"
+        path.write_text(f"a,b\n1,2\n{cell},3\n")
+        with pytest.raises(MalformedInput) as err:
+            read_record(path)
+        assert err.value.line == 3
+        assert str(err.value).endswith(f"bad number {cell!r} on line 3")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("blank", ["", "  ", "\n"], ids=["empty", "spaces", "two-empty"])
+    @pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
+    def test_blank_line_at_a_block_cut(self, tmp_path, blank, shift):
+        # numpy's reader skips empty lines, so the row count of each block must
+        # find them, and a block of empty lines alone must not reach it
+        path = tmp_path / "rec.csv"
+        lines = ["a,b"] + ["1.5,-2"] * (3 * nsca.io._READ_BLOCK // 7 + 20)
+        path.write_text("".join(line + "\n" for line in lines))
+        cut = sum(len(block) for block in itertools.islice(nsca.io._line_blocks(path), 3))
+        lines.insert(cut + shift, blank)
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(MalformedInput) as err:
+            read_record(path)
+        assert err.value.line == cut + shift + 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("reader, text", [(read_record, "a,b\n"), (read_index, "k,value\n")],
+                             ids=["record", "index"])
+    def test_header_only_has_no_data_rows(self, tmp_path, reader, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        with pytest.raises(MalformedInput, match="no data rows") as err:
+            reader(path)
+        assert err.value.line == 1
+
     def test_first_bad_line_wins(self, tmp_path):
         # a defect found by the per-format check comes before a later bad cell
         path = tmp_path / "mask.csv"
@@ -354,6 +400,8 @@ def loop_read(kind, text):
     first = 1 if kind == "matrix" else 2
     width, rows, seen = len(lines[0].split(",")), [], set()
     for i, line in enumerate(lines[first - 1:], start=first):
+        if "_" in line:  # float reads "1_0" as 10; the format does not
+            return i
         try:
             row = [float(c) for c in line.split(",")]
         except ValueError:
@@ -727,6 +775,14 @@ class TestCliEval:
         path.write_bytes(b"a,b\n1,2\n3,\xc3\xa9\n")
         assert run(["eval", "--est", path, "--truth", path]) == 3
         assert "non-ASCII byte on line 3" in capsys.readouterr().err
+
+    def test_underscore_cell_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        path.write_text("a,b\n1,2\n1_0,3\n")
+        assert run(["eval", "--est", path, "--truth", path]) == 3
+        err = capsys.readouterr().err
+        assert "bad number '1_0' on line 3" in err
+        assert "Traceback" not in err
 
     def test_huge_mask_label_exits_3(self, synth_dir, tmp_path, capsys):
         mask = tmp_path / "m.csv"
