@@ -76,14 +76,22 @@ def jacobi_eig(S):
 # A sweep visits every pair (p, q), p < q, once in row-cyclic order. Pairs
 # with the same p + q are disjoint, and of two pairs that share an index the
 # one with the smaller sum comes first in row-cyclic order. Rotations in
-# disjoint planes commute and leave each other's angles as they are, so running
-# the waves p + q = 1 .. 2n - 3 in turn, each as one orthogonal G, is the
-# row-cyclic sweep up to rounding. Per pair the angle maximizes the weighted
-# sum of squared diagonal gains over the set (Cardoso & Souloumiac, SIAM J.
-# Matrix Anal. Appl. 17(1), 1996); an angle of at most 1e-18 is set to 0, so
-# that its rotation is the identity.
+# disjoint planes commute and leave each other's angles as they are, so the
+# waves p + q = 1 .. 2n - 3 give the row-cyclic sweep up to rounding. They run
+# in n stages per sweep, each one orthogonal G: stage j rotates head wave
+# p + q = j of a sweep beside tail wave p + q = j + n of the sweep before.
+# Their indices are at most j and at least j + 1, and every pair of the sweep
+# before that shares an index with the head wave sits in a wave no later than
+# j + n - 1, so rotations that share an index still run in row-cyclic order.
+# Heads join the tail before only when that sweep cannot be the last: a head
+# angle (waves 1 .. n) is at or above the tolerance and the budget has a
+# sweep left. Otherwise the tail runs alone and the sweep is tested on all
+# its angles, as the row-cyclic loop would. Per pair the angle maximizes the
+# weighted sum of squared diagonal gains over the set (Cardoso & Souloumiac,
+# SIAM J. Matrix Anal. Appl. 17(1), 1996); an angle of at most 1e-18 is set
+# to 0, so that its rotation is the identity.
 
-# maps a wave's (p,p), (p,q), (q,q), (q,p) entries to [g - f | 2g | g + f | f]
+# maps a stage's (p,p), (p,q), (q,q), (q,p) entries to [g - f | 2g | g + f | f]
 # with g = M_pp - M_qq and f = M_pq + M_qp
 _GAIN_MAP = np.array([[1.0, 2, 1, 0], [-1, 0, 1, 1], [-1, -2, -1, 0], [-1, 0, 1, 1]])
 
@@ -94,29 +102,44 @@ def row_cyclic_waves(n):
             for p in [np.arange(max(0, s - n + 1), (s + 1) // 2)]]
 
 
+def pipeline_stages(n, heads, tails):
+    # The nonempty stages j = 1 .. n as index arrays (p, q): head wave
+    # p + q = j if `heads`, then tail wave p + q = j + n if `tails`.
+    waves = row_cyclic_waves(n)
+    stages = [[waves[s - 1] for s, on in ((j, heads), (j + n, tails)) if on and s <= 2 * n - 3]
+              for j in range(1, n + 1)]
+    return [tuple(map(np.concatenate, zip(*st))) for st in stages if st]
+
+
 @functools.lru_cache(maxsize=64)
-def _wave_plan(K, n):
-    # Per wave: the flat indices of its entries in A and in G, the gain map,
-    # and its slice of the sweep's angles.
-    plan, o = [], 0
-    for p, q in row_cyclic_waves(n):
+def _stage_plan(K, n, heads, tails):
+    # Per stage: the flat indices of its entries in A and in G, the gain map,
+    # and its slice of the angles; then the positions of the head angles and
+    # of the tail angles, each followed by the last position, which stays 0.
+    plan, sums = [], []
+    for p, q in pipeline_stages(n, heads, tails):
         rows, cols = np.concatenate((p, p, q, q)), np.concatenate((p, q, q, p))
         plan.append((rows * K * n + cols + n * np.arange(K)[:, None], rows * n + cols,
-                     np.kron(_GAIN_MAP, np.eye(p.size)), slice(o, o + p.size)))
-        o += p.size
-    return plan
+                     np.kron(_GAIN_MAP, np.eye(p.size)), slice(len(sums), len(sums) + p.size)))
+        sums += (p + q).tolist()
+    pos, sums, last = np.arange(len(sums)), np.array(sums, int), n * (n - 1) // 2
+    return plan, np.append(pos[sums <= n], last), np.append(pos[sums > n], last)
 
 
 def ajd_rotate(M, w, max_sweeps, angle_tol):
-    # M is a (K, n, n) stack modified in place; returns (Q, sweeps, converged),
-    # converged 0 also after a NaN angle. A holds M[k, i, j] at [i, k, j].
+    # M is a (K, n, n) stack modified in place and max_sweeps >= 1; returns
+    # (Q, sweeps, converged), converged 0 also after a NaN angle. A holds
+    # M[k, i, j] at [i, k, j]. Each pass runs the heads of sweep `sweep`
+    # alone, or its tail with or without the next sweep's heads.
     K, n = M.shape[:2]
     A = np.ascontiguousarray(M.transpose(1, 0, 2))
     Q = eye = np.eye(n)
-    angles = np.zeros(n * (n - 1) // 2 + 1)  # one sweep's; the last stays 0
-    sweeps, converged = max_sweeps, 0
-    for sweep in range(max_sweeps):
-        for idx, gidx, B, sl in _wave_plan(K, n):
+    angles = np.zeros(n * (n - 1) // 2 + 1)  # one pass's; the last stays 0
+    sweep, head_max = 1, None  # the largest |angle| of the sweep's heads, once run
+    while True:
+        heads = head_max is None or (head_max >= angle_tol and sweep < max_sweeps)
+        stages, head, tail = _stage_plan(K, n, heads, head_max is not None)
+        for idx, gidx, B, sl in stages:
             t = angles[sl]
             D = (A.take(idx) @ B).reshape(K, 2, -1)
             ton, toff = (w @ (D[:, 0] * D[:, 1])).reshape(2, -1)
@@ -128,12 +151,16 @@ def ajd_rotate(M, w, max_sweeps, angle_tol):
             G.flat[gidx] = np.concatenate((c, -s, c, s))
             A = G.T @ (A.reshape(-1, n) @ G).reshape(n, -1)
             Q = Q @ G
-        max_angle = np.abs(angles).max()
-        if not max_angle >= angle_tol:
-            sweeps, converged = sweep + 1, int(max_angle < angle_tol)
+        a = np.abs(angles)
+        if head_max is None:
+            head_max = a[head].max()
+            continue
+        max_angle = np.maximum(head_max, a[tail].max())  # NaN if either is
+        if not max_angle >= angle_tol or sweep == max_sweeps:
             break
+        sweep, head_max = sweep + 1, a[head].max() if heads else None
     M[:] = A.reshape(n, K, n).transpose(1, 0, 2)
-    return Q, sweeps, converged
+    return Q, sweep, int(max_angle < angle_tol)
 
 
 # ---------------------------------------------------------------------------

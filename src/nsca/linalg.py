@@ -7,7 +7,8 @@ fully specified: Cholesky reports the failing pivot, the joint diagonalizer
 reports its sweep budget, and every tolerance is explicit. A sweep of the
 joint diagonalizer rotates every pair of components once, in row-cyclic
 order; the pairs (p, q) with the same p + q are disjoint, so their rotations
-commute and are applied together as one orthogonal product.
+commute and are applied together as one orthogonal product; a sweep's first
+waves share their products with the last waves of the sweep before, n per sweep.
 Matrices in this package are covariance-sized (a few dozen rows at most).
 Routing Cholesky and the triangular solves through ``scipy.linalg``
 (``dpotrf``, ``solve_triangular``) slowed the separation-only benchmark
@@ -16,7 +17,8 @@ Routing Cholesky and the triangular solves through ``scipy.linalg``
 thread pool beside numpy's.
 
 The package's sample covariance (``sample_cov``), ridged whitening factor and
-``L^{-1} C L^{-T}`` congruence each have their one implementation here.
+``L^{-1} C L^{-T}`` congruence each have their one implementation here; the
+congruence whitens a whole set with one pair of triangular solves.
 ``partition.class_covariances`` runs ``sample_cov`` once per class and builds
 the total covariance from those results, not from an estimator of its own.
 """
@@ -27,6 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NoConvergence, NotPositiveDefinite, ShapeMismatch
+from .records import as_int
 
 __all__ = [
     "SymMatrix",
@@ -176,10 +179,12 @@ def _whitening_factor(B, reg_eps):
 
 
 def _congruence(L, C):
-    """``L^{-1} C L^{-T}``, symmetrized."""
-    X = _kernels.solve_lower(L, C)
-    M = _kernels.solve_lower(L, np.ascontiguousarray(X.T)).T
-    return 0.5 * (M + M.T)
+    """``L^{-1} C_k L^{-T}`` of a (K, n, n) symmetric stack, one (n, Kn) block per solve."""
+    K, n = C.shape[:2]
+    X = _kernels.solve_lower(L, C.transpose(1, 0, 2).reshape(n, -1)).reshape(n, K, n)
+    Xt = np.ascontiguousarray(X.transpose(2, 1, 0)).reshape(n, -1)
+    Y = _kernels.solve_lower(L, Xt).reshape(n, K, n)
+    return 0.5 * (Y.transpose(1, 0, 2) + Y.transpose(1, 2, 0))
 
 
 def gevd(A, B, order="ascending", reg_eps=0.0):
@@ -223,7 +228,7 @@ def gevd(A, B, order="ascending", reg_eps=0.0):
     if order not in ("ascending", "descending"):
         raise ValueError("order must be 'ascending' or 'descending'")
     L = _whitening_factor(Bm, reg_eps)
-    pair = sym_eig(_congruence(L, Am))
+    pair = sym_eig(_congruence(L, Am[None])[0])
     W = _kernels.solve_lower_t(L, pair.vectors)
     vals = pair.values
     if order == "descending":
@@ -239,8 +244,9 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
     ``M_i = L^{-1} C_i L^{-T}``), then jointly diagonalized by Jacobi-style
     Givens rotations whose angles maximize the weighted sum of squared
     diagonal gains. Each sweep rotates every pair of components once, in
-    row-cyclic order, as 2n - 3 waves of disjoint pairs (those with the same
-    p + q), each wave applied as one orthogonal product. The result
+    row-cyclic order, as waves of disjoint pairs (those with the same p + q)
+    in n orthogonal products per sweep: a sweep's first waves run beside the
+    last waves of the sweep before, once that sweep cannot be the last. The result
     ``W = L^{-T} Q`` satisfies ``W.T @ whitener @ W = I`` exactly up to
     rounding. The order of its columns is not specified: it follows from the
     pair order, and a different order finds the same components in another
@@ -252,7 +258,8 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
         Matrices to diagonalize jointly; at least one.
     weights : sequence of float, optional
         Finite, nonnegative weight per matrix, not all zero; uniform if
-        omitted. Other weights raise ``ValueError``.
+        omitted. Other weights raise ``ValueError``. A common positive factor
+        on the weights leaves ``W`` as it is, up to rounding.
     whitener : SymMatrix or array_like, optional
         Positive definite matrix defining the metric. Defaults to the
         unweighted mean of ``mats``.
@@ -260,7 +267,7 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
         Finite, nonnegative relative ridge added to the whitener before
         factoring. A ridge that overflows raises ``ValueError``.
     max_sweeps : int
-        Rotation sweep budget.
+        Rotation sweep budget, at least 1; other values raise ``ValueError``.
 
     Returns
     -------
@@ -274,6 +281,9 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
         If the largest rotation angle has not dropped below 1e-10 within the
         sweep budget, or an angle is not finite.
     """
+    max_sweeps = as_int(max_sweeps, "max_sweeps")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     stack = [as_sym(m).entries for m in mats]
     if len(stack) == 0:
         raise ValueError("ajd needs at least one matrix")
@@ -292,8 +302,11 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
     if whitener is None:
         whitener = SymMatrix(sum(stack) / K)
     L = _whitening_factor(whitener, reg_eps)
-    M = np.stack([_congruence(L, C) for C in stack])
-    Q, sweeps, converged = _kernels.ajd_rotate(M, w, max_sweeps, AJD_ANGLE_TOL)
+    M = _congruence(L, np.stack(stack))
+    # the angles do not change under a common factor on w; a power of two
+    # scales every sum exactly and keeps the squares of the sums in range
+    w_unit = np.ldexp(w, -np.frexp(w.max())[1])
+    Q, sweeps, converged = _kernels.ajd_rotate(M, w_unit, max_sweeps, AJD_ANGLE_TOL)
     if not converged:
         raise NoConvergence("joint diagonalization: " + (
             f"rotation angles above tolerance after {sweeps} sweeps" if np.isfinite(Q).all()

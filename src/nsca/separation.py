@@ -232,8 +232,7 @@ def two_round_targeted(record, lags, target_component, reg_eps=0.0, round2_theta
     total, _, X = sample_cov(record.samples)
     mats = _lagged_covariances(X, lags)
     W1, residual1 = ajd(mats, whitener=total, reg_eps=reg_eps)
-    y1 = W1.T @ record.samples
-    env = energy_envelope(y1[target])
+    env = energy_envelope(W1[:, target] @ record.samples)
     mask = threshold_mask(env, round2_theta)
     result = nsca_two_class(record, mask, reg_eps=reg_eps)
     result.diagnostics.update(

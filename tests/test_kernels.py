@@ -13,7 +13,8 @@ it to W^T and to the rows of the samples left in its refill window of
 ``_EASI_REFILL`` steps. It checks its index and cap once per block;
 ``easi_reference`` is the per-step loop with the index and the cap check at
 every step. ``ajd_rotate`` rotates the disjoint pairs of each row-cyclic wave
-(p + q fixed) with one product; ``ajd_reference`` is the row-cyclic loop with
+(p + q fixed) with one product, and runs the first waves of a sweep beside the
+last waves of the sweep before; ``ajd_reference`` is the row-cyclic loop with
 one scalar rotation per pair.
 """
 
@@ -363,14 +364,59 @@ def test_row_cyclic_waves(n):
                 assert rank[a] < rank[b]
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_pipeline_stages(n):
+    # a run of three sweeps: sweep 0's heads alone, two pipelined passes,
+    # then sweep 2's tail alone; a pair belongs to the newer sweep of its
+    # stage if p + q <= n (a head wave), else to the older
+    passes = [(True, False), (True, True), (True, True), (False, True)]
+    stages = [[(i - (p + q > n), (p, q)) for p, q in zip(p.tolist(), q.tolist())]
+              for i, plan in enumerate(passes) for p, q in _kernels.pipeline_stages(n, *plan)]
+    for sweep in range(3):  # every pair once per sweep
+        assert sorted(pair for st_ in stages for s, pair in st_ if s == sweep) \
+            == row_cyclic_pairs(n)
+    for st_ in stages:  # disjoint pairs
+        assert len({i for _, pair in st_ for i in pair}) == 2 * len(st_)
+    assert all(len(st_) for st_ in stages) and len(stages) <= 4 * n
+    # two pairs that share an index run in row-cyclic order, across the
+    # sweep boundary too
+    rank = {pair: i for i, pair in enumerate(row_cyclic_pairs(n))}
+    order = [(s, rank[pair], pair) for st_ in stages for s, pair in st_]
+    for i, (s_a, r_a, a) in enumerate(order):
+        for s_b, r_b, b in order[i + 1:]:
+            if set(a) & set(b):
+                assert (s_a, r_a) < (s_b, r_b)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_ajd_rotate_runs_a_tail_alone_like_the_reference(n, monkeypatch):
+    # the only off-diagonal mass is in pair (n - 2, n - 1), a tail pair, so
+    # every head angle of a sweep is 0 and its tail must run alone
+    rng = np.random.default_rng(n)
+    M = np.stack([np.diag(rng.random(n) + 1.0) for _ in range(2)])
+    M[:, n - 2, n - 1] = M[:, n - 1, n - 2] = rng.standard_normal(2)
+    w = np.ones(2)
+    plans = []
+    stage_plan = _kernels._stage_plan
+    monkeypatch.setattr(_kernels, "_stage_plan",
+                        lambda *a: plans.append(a[2:]) or stage_plan(*a))
+    M_ref = M.copy()
+    Q, sweeps, converged = _kernels.ajd_rotate(M, w, 200, 1e-10)
+    Q_ref, sweeps_ref, converged_ref = ajd_reference(M_ref, w, 200, 1e-10)
+    assert (True, True) not in plans and (False, True) in plans
+    assert (sweeps, converged) == (sweeps_ref, converged_ref) and converged
+    np.testing.assert_allclose(Q, Q_ref, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(M, M_ref, rtol=0, atol=1e-15 * np.abs(M_ref).max())
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.data(), st.integers(1, 12), st.integers(1, 11), st.integers(1, 3),
+@given(st.data(), st.integers(1, 12), st.integers(1, 11), st.integers(1, 5),
        st.sampled_from([1e-10, 0.1, 1.0]))
 def test_ajd_rotate_matches_reference(data, K, n, max_sweeps, angle_tol):
-    # Budgets of 1-3 sweeps stop most sets unconverged; a tolerance of 1 rad
-    # is met after one sweep (every angle is at most pi/4), so both returns run.
-    # The kernel applies each wave's rotations as one product, so it rounds
-    # differently from the reference.
+    # Budgets of 1-5 sweeps stop most sets unconverged, some on a pipelined
+    # sweep; a tolerance of 1 rad is met after one sweep (every angle is at
+    # most pi/4), so both returns run. The kernel applies each stage's
+    # rotations as one product, so it rounds differently from the reference.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     G = rng.standard_normal((K, n, n))
     M = G + G.transpose(0, 2, 1)
@@ -426,3 +472,15 @@ def test_ajd_rotate_reports_a_nan_angle():
     M = np.array([[[1.0, np.nan], [np.nan, 2.0]]])
     _, sweeps, converged = _kernels.ajd_rotate(M, np.ones(1), 200, 1e-10)
     assert (sweeps, converged) == (1, 0)
+
+
+def test_ajd_rotate_stops_on_a_nan_tail_angle_beside_the_next_heads():
+    # the head pair (0, 1) has a large angle, so sweep 2's heads run beside
+    # sweep 1's tail pair (2, 3), whose gain -(2e160)^2 overflows to a NaN
+    # angle; the run still ends after sweep 1
+    M = np.diag([2.0, 1.0, 1e160, 1e160])
+    M[0, 1] = M[1, 0] = 0.5
+    M[2, 3] = M[3, 2] = 1e160
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q, sweeps, converged = _kernels.ajd_rotate(M[None], np.ones(1), 200, 1e-10)
+    assert (sweeps, converged) == (1, 0) and not np.isfinite(Q).all()

@@ -6,9 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from nsca import _kernels
 from nsca.errors import NoConvergence, NotPositiveDefinite, ShapeMismatch
 from nsca.linalg import (
     SymMatrix,
+    _congruence,
     ajd,
     amari_index,
     cholesky,
@@ -257,6 +259,28 @@ class TestAjd:
             with pytest.raises(NoConvergence, match="not finite"):
                 ajd([A, B], whitener=np.eye(2))
 
+    def test_sweep_budget_validation(self):
+        mats = [np.diag([1.0, 2.0]) + 0.5, np.diag([3.0, 1.0]) + 0.5]
+        for bad in (0, -1, 2.5, "3"):
+            with pytest.raises(ValueError, match="max_sweeps"):
+                ajd(mats, max_sweeps=bad)
+        W, _ = ajd(mats)
+        for ok in (3.0, np.int64(3)):
+            assert_allclose(ajd(mats, max_sweeps=ok)[0], W, rtol=0, atol=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_common_weight_scale_leaves_w_as_it_is(self, scale):
+        # squares of the weighted sums would overflow (all angles 0) or
+        # underflow (no convergence) if the weights reached the kernel as given
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((4, 4))
+        mats = [M.T @ np.diag(d) @ M for d in 0.5 + 4.0 * rng.random((3, 4))]
+        W, _ = ajd(mats, weights=np.ones(3))
+        W_scaled, _ = ajd(mats, weights=np.full(3, scale))
+        assert_allclose(W_scaled, W, rtol=0, atol=1e-14 * np.abs(W).max())
+        assert amari_index(M @ W_scaled) < 1e-12
+
     def test_weight_validation(self):
         with pytest.raises(ShapeMismatch):
             ajd([np.eye(2)], weights=[1.0, 2.0])
@@ -375,6 +399,24 @@ def test_cholesky_reports_the_first_bad_pivot(seed, data):
     with pytest.raises(NotPositiveDefinite) as ei:
         cholesky(S)
     assert ei.value.pivot == k
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 10), st.integers(1, 8))
+def test_stacked_congruence_matches_per_matrix_solves(seed, K, n):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((K, n, n))
+    C = G + G.transpose(0, 2, 1)
+    L = np.linalg.cholesky(random_spd(rng, n))
+    refs = []
+    for Ck in C:
+        X = _kernels.solve_lower(L, Ck)
+        Mk = _kernels.solve_lower(L, np.ascontiguousarray(X.T)).T
+        refs.append(0.5 * (Mk + Mk.T))
+    refs = np.stack(refs)
+    M = _congruence(L, C)
+    assert (M == M.transpose(0, 2, 1)).all()
+    assert_allclose(M, refs, rtol=0, atol=1e-14 * np.abs(refs).max())
 
 
 @PROPERTY
