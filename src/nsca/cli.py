@@ -13,8 +13,7 @@ Every subcommand is deterministic given identical flags, inputs and seed.
 4 numeric or model failure (every other nsca error), 5 shape mismatch.
 ``separate`` forms classes from one of ``--mask``, ``--index`` and
 ``--two-round`` and rejects a flag that path would ignore: ``--mask`` takes
-no class flag, ``--two-round`` takes no weighting flag, only ``--two-round``
-takes ``--lags``, and a 2-class partition does not take ``--include-total``.
+no class flag and only ``--two-round`` takes ``--lags``.
 ``eval`` scores ``--est-mask`` and ``--index`` against ``--truth-mask``;
 either side without the other is a usage error. An output file is replaced
 only once it is completely written.
@@ -199,19 +198,21 @@ def cmd_detect(args):
 # separate
 # ---------------------------------------------------------------------------
 
+# separate's flags that only some ways of forming classes read; each defaults to None
+CLASS_FLAGS = ("--theta", "--min-event-len", "--quantiles", "--target", "--lags")
+
+
 def _check_class_flags(args):
     """BadSpec for a given flag that the chosen way of forming classes ignores."""
-    weighting = ("--weight-rule", "--include-total")
     if args.two_round:
         mode, reads = "--two-round", ("--theta", "--target", "--lags")
     elif args.mask is not None:
-        mode, reads = "--mask", weighting
+        mode, reads = "--mask", ()
     elif args.quantiles is not None:
-        mode, reads = "--quantiles", ("--quantiles", *weighting)
+        mode, reads = "--quantiles", ("--quantiles",)
     else:
-        mode, reads = "--index", ("--theta", "--min-event-len", *weighting)
-    ignored = [flag for flag in ("--theta", "--min-event-len", "--quantiles", "--target",
-                                 "--lags", *weighting)
+        mode, reads = "--index", ("--theta", "--min-event-len")
+    ignored = [flag for flag in CLASS_FLAGS
                if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None]
     if ignored:
         raise BadSpec(f"{mode} does not take {', '.join(ignored)}")
@@ -245,18 +246,12 @@ def cmd_separate(args):
         part = None
     else:
         part = _build_partition(args, record)
-        weighting = _given(weight_rule=args.weight_rule, include_total=args.include_total)
-        if part.K == 2:
-            if args.include_total:
-                raise BadSpec("a 2-class partition does not take --include-total")
-            result = nsca_two_class(record, part, reg_eps=args.reg_eps, **weighting)
-        else:
-            result = nsca_multi_class(record, part, reg_eps=args.reg_eps, **weighting)
+        engine = nsca_two_class if part.K == 2 else nsca_multi_class
+        result = engine(record, part, reg_eps=args.reg_eps)
     io.write_matrix(_out_path(args, "demixer.csv"), result.demixer)
     io.write_record(_out_path(args, "est_sources.csv"), result.sources)
     io.write_spectra(_out_path(args, "spectra.csv"), result.spectra)
-    class_weights = np.asarray(result.diagnostics["weights"])[: result.spectra.shape[0]]
-    cmap = eigenratio_map(result.spectra, class_weights)
+    cmap = eigenratio_map(result.spectra, result.diagnostics["weights"])
     with io._replacing(_out_path(args, "diagnostics.txt")) as fh:
         fh.write(f"order: {result.order}\n")
         for key in sorted(result.diagnostics):
@@ -356,8 +351,6 @@ def _build_parser():
     p.add_argument("--theta", type=float, help="relative threshold")
     p.add_argument("--min-event-len", type=int)
     p.add_argument("--quantiles", type=int, help="K-class quantile partition of --index")
-    p.add_argument("--weight-rule", choices=("cardinality", "uniform"))
-    p.add_argument("--include-total", action="store_true", default=None)
     p.add_argument("--reg-eps", type=float, default=0.0)
     p.add_argument("--lags", help="comma-separated round-1 lags (default 1,2,...,10)")
     p.add_argument("--target", type=int, help="round-1 component to isolate")

@@ -427,13 +427,16 @@ class StateSpaceModel:
 def normalized_innovations(record, model):
     """Normalized squared innovations ``e_k = i_k^T S_k^{-1} i_k`` of a filter run.
 
-    For data that actually follows the model, ``e`` has mean ``obs_dim`` and
-    no serial correlation; bursts that leave the model inflate and correlate
-    it. Raises :class:`NotPositiveDefinite` naming the first step whose
-    innovation covariance ``S_k = H P_k H^T + R`` is not positive definite;
-    ``R`` is used as given. The numpy scan switches to the fixed steady-state
-    gain once the predicted covariance has converged to rounding, and runs the
-    full filter throughout if it never does or the closed loop is unstable.
+    For data that actually follows the model, with every source present
+    throughout, ``e`` has mean ``obs_dim`` and no serial correlation. A
+    source confined to bursts is absent between them, and there the mean
+    drops toward ``obs_dim - 1``; bursts that leave the model inflate and
+    correlate ``e``. Raises :class:`NotPositiveDefinite` naming the first
+    step whose innovation covariance ``S_k = H P_k H^T + R`` is not positive
+    definite; ``R`` is used as given. The numpy scan switches to the fixed
+    steady-state gain once the predicted covariance has converged to
+    rounding, and runs the full filter throughout if it never does or the
+    closed loop is unstable.
     """
     record = as_record(record)
     if model.obs_dim != record.channels:

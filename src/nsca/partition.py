@@ -165,12 +165,12 @@ class CovarianceSet:
         return self.total.dim
 
 
-def class_covariances(record, part, weight_rule="cardinality"):
+def class_covariances(record, part):
     """Unbiased covariance, mean and weight of each class, plus the totals.
 
-    ``weight_rule`` is "cardinality" (``|P_i| / T``, sums to 1) or "uniform"
-    (``1/K``). Every class must have at least ``n + 1`` samples so its
-    covariance has full degrees of freedom.
+    Class ``i`` weighs ``|P_i| / T``, so the weights sum to 1. Every class
+    must have at least ``n + 1`` samples so its covariance has full degrees
+    of freedom.
 
     The record is gathered once, in stable label order, so class ``i`` is a
     contiguous run of columns holding ``X[:, labels == i]`` in record order;
@@ -194,8 +194,6 @@ def class_covariances(record, part, weight_rule="cardinality"):
         raise TypeError("class_covariances expects a Partition")
     if part.length != record.length:
         raise ShapeMismatch(f"partition length {part.length} != record length {record.length}")
-    if weight_rule not in ("cardinality", "uniform"):
-        raise ValueError("weight_rule must be 'cardinality' or 'uniform'")
     n = record.channels
     for i, cnt in enumerate(part.class_counts):
         if cnt < n + 1:
@@ -213,14 +211,10 @@ def class_covariances(record, part, weight_rule="cardinality"):
     total_mean = counts @ means / T
     d = means - total_mean
     scatter = sum((c - 1) * C.entries for c, C in zip(counts, covs)) + (counts * d.T) @ d
-    if weight_rule == "cardinality":
-        weights = counts / T
-    else:
-        weights = np.full(part.K, 1.0 / part.K)
     return CovarianceSet(
         covs=covs,
         means=means,
-        weights=np.asarray(weights, dtype=np.float64),
+        weights=counts / T,
         counts=counts.copy(),
         total=SymMatrix(scatter / (T - 1)),
         total_mean=total_mean,

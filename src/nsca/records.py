@@ -74,12 +74,12 @@ def as_record(record):
 
 
 def as_int(value, name):
-    """``value`` as an int; ValueError unless it is an integral number."""
+    """``value`` as an int; ValueError unless it is an integral number, bools excluded."""
     try:
         out = int(value)
     except (ValueError, OverflowError):  # NaN, inf, non-numeric strings
         out = None
-    if out is None or out != value:
+    if out is None or out != value or isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return out
 

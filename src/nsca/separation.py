@@ -15,7 +15,7 @@ import numpy as np
 
 from .detectors import energy_envelope
 from .errors import BadClass, BadComponent, ShapeMismatch
-from .linalg import SymMatrix, ajd, gevd, off_diag_residual, sample_cov, sym_eig
+from .linalg import SymMatrix, ajd, gevd, sample_cov, sym_eig
 from .partition import Partition, class_covariances, threshold_mask
 from .records import Record, as_int, as_record
 
@@ -71,11 +71,12 @@ def apply_separation(W, record):
 
 
 def _result(record, covset, W, order, **diagnostics):
-    """SeparationResult of demixer ``W``; diagnostics gain the whitening error and class counts."""
+    """SeparationResult of ``W``; diagnostics gain the whitening error, class counts and weights."""
     covs = np.stack([C.entries for C in covset.covs])
     diagnostics.update(
         whitening_error=float(np.abs(W.T @ covset.total.entries @ W - np.eye(W.shape[1])).max()),
         class_counts=covset.counts,
+        weights=covset.weights,
     )
     return SeparationResult(
         demixer=W,
@@ -92,7 +93,7 @@ def _condition_number(mat):
     return float(vals[-1] / lo) if lo > 0 else float("inf")
 
 
-def nsca_two_class(record, mask, reg_eps=0.0, weight_rule="cardinality"):
+def nsca_two_class(record, mask, reg_eps=0.0):
     """Two-class separation: GEVD of the event-class covariance against the total.
 
     With mask classes {0: background, 1: event}, solves
@@ -109,8 +110,6 @@ def nsca_two_class(record, mask, reg_eps=0.0, weight_rule="cardinality"):
         Exactly two classes, each with at least ``n + 1`` samples.
     reg_eps : float
         Relative ridge applied to ``C_x`` if it is near singular.
-    weight_rule : str
-        Forwarded to covariance estimation (affects recorded weights only).
 
     Returns
     -------
@@ -121,20 +120,17 @@ def nsca_two_class(record, mask, reg_eps=0.0, weight_rule="cardinality"):
         raise TypeError("nsca_two_class expects a Partition mask")
     if mask.K != 2:
         raise BadClass(f"two-class separation needs K=2, got K={mask.K}")
-    covset = class_covariances(record, mask, weight_rule)
+    covset = class_covariances(record, mask)
     pair = gevd(covset.covs[1], covset.total, order="descending", reg_eps=reg_eps)
     return _result(record, covset, pair.vectors, "descending", eigenvalues=pair.values,
-                   total_condition=_condition_number(covset.total), weights=covset.weights)
+                   total_condition=_condition_number(covset.total))
 
 
-def nsca_multi_class(record, part, include_total=False, weight_rule="cardinality", reg_eps=0.0):
+def nsca_multi_class(record, part, reg_eps=0.0):
     """Multi-class separation: joint diagonalization of all class covariances.
 
-    With ``include_total=False`` the set ``{C_1 .. C_K}`` is hard-whitened by
-    the total covariance (``W^T C_x W = I``). With ``include_total=True`` the
-    whitener relaxes to ``(trace(C_x)/n) I`` and ``C_x`` joins the set with
-    the mean class weight, letting the solver trade total-covariance
-    diagonality against the class set.
+    The set ``{C_1 .. C_K}`` is weighted by class cardinality (``|P_i| / T``)
+    and hard-whitened by the total covariance, so ``W^T C_x W = I``.
 
     Returns
     -------
@@ -145,20 +141,9 @@ def nsca_multi_class(record, part, include_total=False, weight_rule="cardinality
     """
     if not isinstance(part, Partition):
         raise TypeError("nsca_multi_class expects a Partition")
-    covset = class_covariances(record, part, weight_rule)
-    mats = list(covset.covs)
-    weights = list(covset.weights)
-    n = covset.dim
-    if include_total:
-        whitener = SymMatrix(np.trace(covset.total.entries) / n * np.eye(n))
-        mats.append(covset.total)
-        weights.append(float(np.mean(covset.weights)))
-    else:
-        whitener = covset.total
-    W, residual = ajd(mats, weights=weights, whitener=whitener, reg_eps=reg_eps)
-    return _result(record, covset, W, "none", ajd_residual=residual,
-                   class_residual=off_diag_residual(W, covset.covs, covset.weights),
-                   include_total=bool(include_total), weights=np.asarray(weights))
+    covset = class_covariances(record, part)
+    W, residual = ajd(covset.covs, weights=covset.weights, whitener=covset.total, reg_eps=reg_eps)
+    return _result(record, covset, W, "none", ajd_residual=residual)
 
 
 def eigenratio_map(spectra, weights):

@@ -436,7 +436,7 @@ def test_integer_arguments_are_not_truncated(arg):
     # int() would run energy_envelope(x, window=5.9) at window 5
     call, good = _detector_calls()[arg], DETECTOR_INTS[arg]
     name = arg.split()[-1]
-    for bad in (good + 0.9, good - 0.5, math.nan, math.inf, "5"):
+    for bad in (good + 0.9, good - 0.5, math.nan, math.inf, "5", True, np.True_):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             call(bad)
     # an integral float runs as its int, with the same values and meta

@@ -687,7 +687,6 @@ class TestCliSeparate:
 
     # each flag given at its library default, against the same command without it
     AT_DEFAULT = {
-        "weight-rule": ("--index {index} --quantiles 3", "--weight-rule cardinality"),
         "lags": ("--two-round --target 0", "--lags 1,2,3,4,5,6,7,8,9,10"),
     }
 
@@ -701,13 +700,15 @@ class TestCliSeparate:
         for name in ("demixer.csv", "diagnostics.txt"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_include_total_on_a_multi_class_partition(self, synth_dir, envelope_csv, tmp_path):
-        outs = tmp_path / "with", tmp_path / "without"
-        for out, given in zip(outs, (["--include-total"], [])):
-            assert run(["separate", "--record", synth_dir / "record.csv", "--index", envelope_csv,
-                        "--quantiles", 3, *given, "--out-dir", out]) == 0
-        texts = [(out / "diagnostics.txt").read_text() for out in outs]
-        assert texts[0] != texts[1]
+    # the class set has one weighting and one whitener, and no flag to change them
+    @pytest.mark.parametrize("flag", ["--include-total", "--weight-rule cardinality"])
+    def test_removed_weighting_flag_is_usage_error(self, flag, synth_dir, envelope_csv,
+                                                   tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["separate", "--record", synth_dir / "record.csv", "--index", envelope_csv,
+                    "--quantiles", 3, *flag.split(), "--out-dir", out]) == 2
+        assert list(out.iterdir()) == []
 
     def test_two_round_requires_target(self, synth_dir, tmp_path):
         assert run(["separate", "--record", synth_dir / "record.csv",
@@ -846,17 +847,8 @@ class TestCliExitCodes:
         "two-round-with-min-event-len":
             "separate --record {record} --two-round --target 0 --min-event-len 3",
         # a flag with a library default that the chosen path would ignore
-        "two-round-with-weight-rule":
-            "separate --record {record} --two-round --target 0 --weight-rule uniform",
-        "two-round-with-include-total":
-            "separate --record {record} --two-round --target 0 --include-total",
         "index-with-lags": "separate --record {record} --index {index} --lags 1,2",
         "mask-with-lags": "separate --record {record} --mask {mask} --lags 1,2",
-        # checked once the partition is built, before any write
-        "two-class-index-with-include-total":
-            "separate --record {record} --index {index} --include-total",
-        "two-class-mask-with-include-total":
-            "separate --record {record} --mask {mask} --include-total",
     }
 
     # the words the one error line must hold, where a case has a message to pin
@@ -899,6 +891,17 @@ class TestCliExitCodes:
         assert run(argv) == 2
         assert "nsca separate: error: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_every_separate_flag_without_a_default_is_checked(self):
+        # a None default tells a given flag from a left-out one, which is what
+        # the ignored-flag check reads; a new such flag must join that check
+        sub = next(a for a in nsca.cli._build_parser()._actions if a.choices)
+        separate = sub.choices["separate"]
+        (classes,) = separate._mutually_exclusive_groups
+        skipped = {"--record", *(a.option_strings[0] for a in classes._group_actions)}
+        undefaulted = {a.option_strings[0] for a in separate._actions
+                       if a.option_strings and a.default is None} - skipped
+        assert undefaulted == set(nsca.cli.CLASS_FLAGS)
 
     # the exit code the cli docstring lists for each failure
     EXIT_CODES = {

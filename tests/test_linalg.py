@@ -261,7 +261,7 @@ class TestAjd:
 
     def test_sweep_budget_validation(self):
         mats = [np.diag([1.0, 2.0]) + 0.5, np.diag([3.0, 1.0]) + 0.5]
-        for bad in (0, -1, 2.5, "3"):
+        for bad in (0, -1, 2.5, "3", True):
             with pytest.raises(ValueError, match="max_sweeps"):
                 ajd(mats, max_sweeps=bad)
         W, _ = ajd(mats)

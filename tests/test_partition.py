@@ -167,14 +167,12 @@ class TestClassCovariances:
         with pytest.raises(ClassTooSmall):
             class_covariances(rec, Partition(labels))
 
-    def test_weight_rules(self):
+    def test_cardinality_weights(self):
         rec = Record(np.random.default_rng(5).normal(size=(2, 100)))
         labels = np.array([0] * 75 + [1] * 25)
-        cs = class_covariances(rec, Partition(labels), weight_rule="cardinality")
+        cs = class_covariances(rec, Partition(labels))
         assert np.allclose(cs.weights, [0.75, 0.25])
         assert cs.weights.sum() == pytest.approx(1.0)
-        cs_u = class_covariances(rec, Partition(labels), weight_rule="uniform")
-        assert np.allclose(cs_u.weights, [0.5, 0.5])
 
     def test_total_scatter_decomposition(self):
         # (T-1) C_x = sum (|P_i|-1) C_i + sum |P_i| (m_i - m_x)(m_i - m_x)^T,

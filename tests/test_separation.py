@@ -154,25 +154,10 @@ class TestMultiClass:
         rec = Record(np.hstack(blocks))
         part = Partition(np.array(labels), K=K)
         result = nsca_multi_class(rec, part)
-        assert result.diagnostics["class_residual"] <= 1e-8
+        assert result.diagnostics["ajd_residual"] <= 1e-8
         assert amari_index(result.demixer.T @ M) < 1e-6
-
-    def test_include_total_keeps_class_assignment(self):
-        rng = np.random.default_rng(11)
-        T, n = 10_000, 3
-        S = rng.normal(size=(n, T))
-        labels = np.zeros(T, dtype=int)
-        labels[6000:7500] = 1
-        S[2, labels == 1] *= 4.0
-        A = rng.normal(size=(n, n)) + np.eye(n)
-        rec = Record(A @ S)
-        part = Partition(labels)
-        picks = []
-        for flag in (False, True):
-            result = nsca_multi_class(rec, part, include_total=flag)
-            w = np.asarray(result.diagnostics["weights"])[: result.spectra.shape[0]]
-            picks.append(eigenratio_map(result.spectra, w).best_component[1])
-        assert picks[0] == picks[1]
+        counts = result.diagnostics["class_counts"]
+        assert np.array_equal(result.diagnostics["weights"], counts / rec.length)
 
     def test_diagnostics_carry_residuals(self):
         rec, _, mask, _ = burst_mixture(12)
