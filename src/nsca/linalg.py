@@ -10,11 +10,13 @@ order; the pairs (p, q) with the same p + q are disjoint, so their rotations
 commute and are applied together as one orthogonal product; a sweep's first
 waves share their products with the last waves of the sweep before, n per sweep.
 Matrices in this package are covariance-sized (a few dozen rows at most).
-Routing Cholesky and the triangular solves through ``scipy.linalg``
-(``dpotrf``, ``solve_triangular``) slowed the separation-only benchmark
-(``perfbench`` ``sep_wide``, n=8, on a 2-core Xeon) from about 250 to about
-400 reference units per pass; scipy's wheel brings its own OpenBLAS and
-thread pool beside numpy's.
+Cholesky and the triangular solves through scipy's LAPACK (``dpotrf`` and
+``solve_triangular``, or ``lapack.dpotrf``/``dtrtrs`` called directly) slowed
+the separation-only benchmark (``perfbench`` ``sep_wide``, n=8, 2-core Xeon)
+from about 250 to 400, and from 122-130 to 263-407 reference units per pass
+(four alternating pairs); with ``OPENBLAS_NUM_THREADS=1`` the direct calls
+ran 6-8% faster (two pairs), so the cost is the thread pool of scipy's own
+OpenBLAS beside numpy's, not the calls.
 
 The package's sample covariance (``sample_cov``), ridged whitening factor and
 ``L^{-1} C L^{-T}`` congruence each have their one implementation here; the
@@ -161,7 +163,7 @@ def sym_eig(mat):
 def _whitening_factor(B, reg_eps):
     """Cholesky factor of ``B`` after an optional relative ridge; failures keep their pivot."""
     Bm = as_sym(B).entries
-    if not 0 <= reg_eps < np.inf:
+    if isinstance(reg_eps, (bool, np.bool_)) or not 0 <= reg_eps < np.inf:
         raise ValueError("reg_eps must be finite and nonnegative")
     if reg_eps > 0:
         n = Bm.shape[0]

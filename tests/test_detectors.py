@@ -23,6 +23,7 @@ from nsca.detectors import (
 from nsca.cli import CLI_EASI_G, CLI_EASI_STEP, main
 from nsca.errors import DegenerateSeries, Diverged, InvalidWindow
 from nsca.io import read_index, write_record
+from nsca.metrics import eval_index_auc
 from nsca.records import IndexSeries, Record, standardize
 from nsca.synthetic import DEFAULT_BURST, default_source_specs, gen_mixture
 
@@ -252,7 +253,7 @@ class TestEasi:
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_cli_easi_runs_every_step_of_a_generated_record(seed):
-    # what `synth` then the default `detect` run, at a realistic length
+    # what `synth` then `detect --detectors easi` run, at a realistic length
     rec, _ = gen_mixture(5, 50_000, DEFAULT_BURST, default_source_specs(5), seed=seed)
     idx = easi_index(prewhiten(rec), CLI_EASI_STEP, CLI_EASI_G)  # Diverged names a failed step
     assert idx.length == 50_000 and np.isfinite(idx.values).all()
@@ -407,6 +408,38 @@ def test_every_index_is_finite_past_warmup(seed):
     for idx in series:
         assert np.isfinite(idx.valid_values()).all(), idx.name
         assert np.all(idx.values[: idx.valid_from] == 0.0), idx.name
+
+
+# Each library detector at the settings `nsca detect` runs it with: the scalar
+# ones on channel 0 at their defaults, EASI on the prewhitened record.
+SCORECARD = {
+    "ad": lambda rec: anderson_darling_index(rec.channel(0)),
+    "envelope": lambda rec: energy_envelope(rec.channel(0)),
+    "cumulant": lambda rec: cumulant_tracking(rec.channel(0)),
+    "ar": lambda rec: ar_tracking(rec.channel(0)),
+    "easi": lambda rec: easi_index(prewhiten(rec), CLI_EASI_STEP, CLI_EASI_G),
+    "innovation": lambda rec: kalman_innovation_index(rec, fit_ar1_state_space(rec), 256),
+}
+
+
+def test_detector_scorecard():
+    """Burst-mask AUC of every detector on the generator's records.
+
+    These floors are what `nsca detect`'s default bank (ad, envelope,
+    innovation) rests on; `ar_tracking` scores at chance and is library-only.
+    """
+    auc = {name: [] for name in SCORECARD}
+    for seed in range(8):
+        rec, truth = gen_mixture(5, 10_000, DEFAULT_BURST, default_source_specs(5), seed=seed)
+        for name, detector in SCORECARD.items():
+            auc[name].append(eval_index_auc(detector(rec), truth.burst_mask))
+    median = {name: float(np.median(v)) for name, v in auc.items()}
+    table = {name: (round(median[name], 3), round(min(v), 3)) for name, v in auc.items()}
+    assert min(auc["innovation"]) >= 0.9, table
+    assert all(median["innovation"] > m for name, m in median.items() if name != "innovation"), table
+    assert median["envelope"] >= 0.8 and median["cumulant"] >= 0.8, table
+    assert median["ad"] >= 0.65 and median["easi"] >= 0.65, table
+    assert median["ar"] <= 0.6, table
 
 
 def _detector_calls():

@@ -564,10 +564,15 @@ def long_synth(tmp_path_factory):
 
 class TestCliDetect:
     def test_default_detectors_run_a_long_record(self, long_synth, tmp_path):
-        # the cubic EASI nonlinearity diverged on this record at step 3450
         assert run(["detect", "--record", long_synth / "record.csv", "--out-dir", tmp_path]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "ad.csv", "easi.csv", "envelope.csv", "innovation.csv"]
+            "ad.csv", "envelope.csv", "innovation.csv"]
+
+    def test_easi_runs_a_long_record(self, long_synth, tmp_path):
+        # the cubic EASI nonlinearity diverged on this record at step 3450
+        assert run(["detect", "--record", long_synth / "record.csv", "--detectors", "easi",
+                    "--out-dir", tmp_path]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["easi.csv"]
 
     def test_writes_indexes_and_summary(self, synth_dir, tmp_path, capsys):
         code = run(["detect", "--record", synth_dir / "record.csv",
@@ -583,9 +588,48 @@ class TestCliDetect:
         norm = normalize_index(read_index(tmp_path / "envelope.csv"))
         assert norm.values.max() <= 1.0 + 1e-12
 
-    def test_unknown_detector_is_usage_error(self, synth_dir, tmp_path):
-        assert run(["detect", "--record", synth_dir / "record.csv",
-                    "--detectors", "wavelet", "--out-dir", tmp_path]) == 2
+    def test_unknown_detector_is_usage_error(self, synth_dir, tmp_path, capsys):
+        # an unknown or a repeated name stops the run before any detector;
+        # `ar_tracking` is library-only, since it scores at chance
+        for detectors, error in [("wavelet", "unknown detectors: wavelet"),
+                                 ("ar", "unknown detectors: ar"),
+                                 ("innovation,ad,innovation", "repeated detectors: innovation")]:
+            out = tmp_path / detectors
+            out.mkdir()
+            assert run(["detect", "--record", synth_dir / "record.csv",
+                        "--detectors", detectors, "--out-dir", out]) == 2
+            assert f"nsca: {error}" in capsys.readouterr().err.splitlines()
+            assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--ar-window 64", "--ar-order 2"])
+    def test_ar_flags_are_gone(self, flag, synth_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["detect", "--record", synth_dir / "record.csv", *flag.split(),
+                    "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert f"nsca: error: unrecognized arguments: {flag}" in err.splitlines()
+        assert not out.exists()
+
+    def test_every_detect_flag_is_read_by_a_detector(self, synth_dir):
+        # a deleted detector cannot leave its flags behind, nor a new flag go unread
+        parser = nsca.cli._build_parser()
+        detect = next(a for a in parser._actions if a.choices).choices["detect"]
+        defaults = parser.parse_args(["detect", "--record", "unused.csv"])
+
+        class Reads:
+            names = set()
+
+            def __getattr__(self, name):
+                self.names.add(name)
+                return getattr(defaults, name)
+
+        reads = Reads()
+        record = read_record(synth_dir / "record.csv")
+        for detector in nsca.cli.DETECTORS.values():
+            detector(record, record.channel(0), reads)
+        flags = {a.dest: a.option_strings[0] for a in detect._actions if a.dest != "help"}
+        assert {flags.get(name, name) for name in reads.names} == set(flags.values()) - {
+            "--record", "--detectors", "--ref-channel", "--out-dir"}
 
     def test_missing_record_file(self, tmp_path):
         assert run(["detect", "--record", tmp_path / "nope.csv", "--out-dir", tmp_path]) == 3

@@ -184,7 +184,7 @@ class TestGevd:
         with pytest.raises(NotPositiveDefinite):
             gevd(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
-    @pytest.mark.parametrize("reg_eps", [-1e-8, np.nan, np.inf])
+    @pytest.mark.parametrize("reg_eps", [-1e-8, np.nan, np.inf, True, False, np.True_])
     def test_reg_eps_must_be_finite_and_nonnegative(self, reg_eps):
         with pytest.raises(ValueError, match="reg_eps"):
             gevd(np.eye(2), np.eye(2), reg_eps=reg_eps)

@@ -159,6 +159,13 @@ class TestMultiClass:
         counts = result.diagnostics["class_counts"]
         assert np.array_equal(result.diagnostics["weights"], counts / rec.length)
 
+    def test_a_positional_bool_is_not_a_ridge(self):
+        # the third parameter is reg_eps; a call written when it was
+        # include_total must not run silently with a ridge of 1.0
+        rec, _, mask, _ = burst_mixture(12)
+        with pytest.raises(ValueError, match="reg_eps"):
+            nsca_multi_class(rec, mask, True)
+
     def test_diagnostics_carry_residuals(self):
         rec, _, mask, _ = burst_mixture(12)
         diag = nsca_multi_class(rec, mask).diagnostics
