@@ -8,6 +8,7 @@ workloads; ``tests/test_kernels.py`` checks each against a reference.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -164,15 +165,34 @@ def ajd_rotate(M, w, max_sweeps, angle_tol):
 
 
 # ---------------------------------------------------------------------------
+# Standard normal CDF
+# ---------------------------------------------------------------------------
+#
+# 0.5 erfc(-z / sqrt 2) through math.erfc, one Python call per value: about
+# 11 ms per 1e5 values against 2 ms for scipy.special.ndtr, which would load
+# scipy and its own OpenBLAS into every process. Over |z| <= 8.5 the two
+# differ by at most 1.5e-14 relative (in the lower tail) and 2.2e-16
+# absolute (one ulp near 1).
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def normal_cdf(z):
+    z = np.asarray(z, dtype=np.float64)
+    w = (z / -_SQRT2).ravel().tolist()
+    return 0.5 * np.fromiter(map(math.erfc, w), np.float64, count=len(w)).reshape(z.shape)
+
+
+# ---------------------------------------------------------------------------
 # Sliding-window Anderson-Darling statistic against a fitted Gaussian
 # ---------------------------------------------------------------------------
 #
-# The Gaussian is fitted once, so F = clip(ndtr((x - mu) / sigma)) and its
+# The Gaussian is fitted once, so F = clip(normal_cdf((x - mu) / sigma)) and its
 # two logs belong to a sample, not to a window: they are computed once per
 # sample, in the order of the sorted series. A window's samples in ascending
 # order are then its sorted ranks in that order, and gathering both logs at
 # those ranks gives, value for value, the arrays a per-window sort of x
-# followed by ndtr, clip, log and log1p would give (tied samples have equal
+# followed by normal_cdf, clip, log and log1p would give (tied samples have equal
 # logs), so the sums are the same to the last bit. The windows run in blocks
 # of max(1, _AD_BLOCK_ELEMS // p) windows, so working memory is
 # O(T + _AD_BLOCK_ELEMS), not O(T * p). At the default p of 64 a block is
@@ -183,13 +203,12 @@ _AD_BLOCK_ELEMS = 4096 * 64
 
 
 def ad_sliding(x, p, mu, sigma, fmin):
-    from scipy.special import ndtr  # here, so `import nsca.cli` does not load scipy.special
     T = x.shape[0]
     out = np.zeros(T)
     order = np.argsort(x)
     rank = np.empty(T, np.int32 if T <= np.iinfo(np.int32).max else np.intp)
     rank[order] = np.arange(T)
-    F = np.clip(ndtr((x[order] - mu) / sigma), fmin, 1.0 - fmin)
+    F = np.clip(normal_cdf((x[order] - mu) / sigma), fmin, 1.0 - fmin)
     log_f, log_sf = np.log(F), np.log1p(-F)
     win = np.lib.stride_tricks.sliding_window_view(rank, p)
     i = np.arange(1, p + 1, dtype=np.float64)

@@ -103,8 +103,7 @@ class FittedCdf:
                              f"got mean={self.mean!r}, std={self.std!r}")
 
     def cdf(self, x):
-        from scipy.special import ndtr  # here, so `import nsca.cli` does not load scipy.special
-        return ndtr((np.asarray(x, dtype=np.float64) - self.mean) / self.std)
+        return _kernels.normal_cdf((np.asarray(x, dtype=np.float64) - self.mean) / self.std)
 
 
 def fit_gaussian_cdf(series):
@@ -299,7 +298,7 @@ def easi_index(record, step=DEFAULT_EASI_STEP, nonlinearity="cubic"):
     record = as_record(record)
     if record.channels < 2:
         raise ShapeMismatch("adaptive separation needs at least 2 channels")
-    if not 0 < step < np.inf:
+    if isinstance(step, (bool, np.bool_)) or not 0 < step < np.inf:
         raise ValueError("step must be positive and finite")
     if nonlinearity not in ("cubic", "tanh"):
         raise ValueError("nonlinearity must be 'cubic' or 'tanh'")
@@ -492,7 +491,7 @@ def fit_ar1_state_space(record, obs_noise_frac=1e-3):
     mean channel variance, and at least 1e-12; the channel means as the
     initial state.
     """
-    if not 0 <= obs_noise_frac < np.inf:
+    if isinstance(obs_noise_frac, (bool, np.bool_)) or not 0 <= obs_noise_frac < np.inf:
         raise ValueError("obs_noise_frac must be finite and nonnegative")
     record = as_record(record)
     if record.length < record.channels + 2:

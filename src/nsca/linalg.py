@@ -10,13 +10,14 @@ order; the pairs (p, q) with the same p + q are disjoint, so their rotations
 commute and are applied together as one orthogonal product; a sweep's first
 waves share their products with the last waves of the sweep before, n per sweep.
 Matrices in this package are covariance-sized (a few dozen rows at most).
-Cholesky and the triangular solves through scipy's LAPACK (``dpotrf`` and
-``solve_triangular``, or ``lapack.dpotrf``/``dtrtrs`` called directly) slowed
-the separation-only benchmark (``perfbench`` ``sep_wide``, n=8, 2-core Xeon)
-from about 250 to 400, and from 122-130 to 263-407 reference units per pass
-(four alternating pairs); with ``OPENBLAS_NUM_THREADS=1`` the direct calls
-ran 6-8% faster (two pairs), so the cost is the thread pool of scipy's own
-OpenBLAS beside numpy's, not the calls.
+The package loads no scipy: scipy's LAPACK brings its own OpenBLAS, whose
+thread pool beside numpy's doubled the separation-only benchmark's time per
+pass (``perfbench`` ``sep_wide``, n=8, 2-core Xeon). Nor does numpy's own
+LAPACK pay off at these sizes. On the same host ``numpy.linalg.cholesky``
+takes 7 us against the hand loop's 35 us at n=5 (59 us at n=8), but it
+reports no failing pivot; numpy has no triangular solve, and
+``numpy.linalg.solve`` (a general LU) takes 17 ms on 1e5 right-hand sides
+against the row loop's 2.2 ms at n=5.
 
 The package's sample covariance (``sample_cov``), ridged whitening factor and
 ``L^{-1} C L^{-T}`` congruence each have their one implementation here; the

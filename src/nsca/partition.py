@@ -103,7 +103,7 @@ def threshold_mask(idx, theta_rel=0.5, min_event_len=1):
     """
     if not isinstance(idx, IndexSeries):
         raise TypeError("threshold_mask expects an IndexSeries")
-    if not 0.0 < theta_rel <= 1.0:
+    if isinstance(theta_rel, (bool, np.bool_)) or not 0.0 < theta_rel <= 1.0:
         raise ValueError("theta_rel must be in (0, 1]")
     min_event_len = as_int(min_event_len, "min_event_len")
     if min_event_len < 1:
@@ -137,9 +137,10 @@ def quantile_partition(idx, K):
     if K < 2:
         raise ValueError("K must be >= 2")
     valid = idx.valid_values()
-    if np.unique(valid).size < K:
+    ordered = np.sort(valid)
+    if np.count_nonzero(ordered[1:] != ordered[:-1]) + 1 < K:
         raise DegenerateIndex(f"index has fewer than {K} distinct values")
-    cuts = np.quantile(valid, np.arange(1, K) / K)
+    cuts = np.quantile(ordered, np.arange(1, K) / K)
     labels = np.zeros(idx.length, dtype=np.int64)
     labels[idx.valid_from:] = np.searchsorted(cuts, valid, side="left")
     return Partition(labels, K=K)

@@ -244,7 +244,7 @@ class TestEasi:
         with pytest.raises(ValueError):
             easi_index(Record(np.ones((2, 10))), step=0.01, nonlinearity="relu")
 
-    @pytest.mark.parametrize("step", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.inf, math.nan, True, np.True_])
     def test_step_must_be_positive_and_finite(self, step):
         with pytest.raises(ValueError, match="step"):
             easi_index(Record(np.ones((2, 10))), step=step)

@@ -179,7 +179,7 @@ class TestFittedBackgroundModel:
         with pytest.raises(ShapeMismatch):
             fit_ar1_state_space(Record(np.ones((3, 4))))
 
-    @pytest.mark.parametrize("frac", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("frac", [-1.0, math.nan, math.inf, True, np.True_])
     def test_obs_noise_frac_must_be_finite_and_nonnegative(self, frac):
         with pytest.raises(ValueError, match="obs_noise_frac"):
             fit_ar1_state_space(Record(np.ones((2, 50))), frac)

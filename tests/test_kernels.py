@@ -73,6 +73,25 @@ class TestArSliding:
             np.testing.assert_allclose(coef[k], ref, rtol=1e-8, atol=1e-10)
 
 
+class TestNormalCdf:
+    def test_matches_scipy_ndtr(self):
+        # a grid over |z| <= 8.5, where ndtr stays above 9e-18; on a
+        # random 2e7 points the largest gaps were 1.5e-14 relative (in the
+        # lower tail) and 2.2e-16 absolute (one ulp near 1)
+        z = np.concatenate((np.linspace(-8.5, 8.5, 340_001),
+                            np.random.default_rng(0).uniform(-8.5, 8.5, 100_000)))
+        got, want = _kernels.normal_cdf(z), ndtr(z)
+        assert np.all(np.abs(got - want) <= 2.6e-14 * want)
+        assert np.abs(got - want).max() <= 2.3e-16
+
+    def test_keeps_shape_and_limits(self):
+        z = np.array([[-np.inf, -40.0, 0.0], [40.0, np.inf, np.nan]])
+        got = _kernels.normal_cdf(z)
+        assert got.shape == (2, 3)
+        np.testing.assert_array_equal(got, [[0.0, 0.0, 0.5], [1.0, 1.0, np.nan]])
+        assert _kernels.normal_cdf(0.0) == 0.5
+
+
 class TestAdSliding:
     @pytest.mark.parametrize("p", [8, 64])
     def test_windows_match_direct_sum(self, p):
@@ -89,7 +108,7 @@ class TestAdSliding:
 def window_ad_fsum(win, mu, sigma, fmin):
     # the kernel's terms for one window, summed with a single rounding
     p = win.size
-    F = np.clip(ndtr((np.sort(win) - mu) / sigma), fmin, 1.0 - fmin)
+    F = np.clip(_kernels.normal_cdf((np.sort(win) - mu) / sigma), fmin, 1.0 - fmin)
     w = 2.0 * np.arange(1, p + 1) - 1.0
     return -p - math.fsum(np.concatenate([w * np.log(F), w[::-1] * np.log1p(-F)])) / p
 
@@ -148,7 +167,7 @@ class TestAdBlocks:
 
 def ad_sorted_windows(x, p, mu, sigma, fmin):
     # Reference for _kernels.ad_sliding: each block of windows sorted, then
-    # ndtr, clip, log and log1p on the sorted values and the kernel's two
+    # normal_cdf, clip, log and log1p on the sorted values and the kernel's two
     # einsum sums, as the kernel ran before it gathered per-sample logs.
     out = np.zeros(x.shape[0])
     win = np.lib.stride_tricks.sliding_window_view(x, p)
@@ -158,7 +177,7 @@ def ad_sorted_windows(x, p, mu, sigma, fmin):
     block = max(1, _kernels._AD_BLOCK_ELEMS // p)
     for a in range(0, win.shape[0], block):
         z = np.sort(win[a:a + block], axis=1)
-        F = ndtr((z - mu) / sigma)
+        F = _kernels.normal_cdf((z - mu) / sigma)
         np.clip(F, fmin, 1.0 - fmin, out=F)
         acc = np.einsum("ij,j->i", np.log(F), w_fwd) + np.einsum("ij,j->i", np.log1p(-F), w_rev)
         out[p - 1:][a:a + block] = -p - acc / p

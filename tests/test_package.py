@@ -1,8 +1,10 @@
-"""The package namespace and the benchmark tracer that wraps it."""
+"""The package namespace, its run-time imports, and the benchmark tracer that wraps it."""
 
 import importlib.util
 import inspect
 import os
+import subprocess
+import sys
 
 import nsca
 from nsca import detectors, linalg, metrics, partition, records, separation, synthetic
@@ -75,3 +77,34 @@ def test_benchmark_tracer_records_layer_spans():
     assert {"detectors.energy_envelope", "linalg.gevd", "kernels.jacobi_eig",
             "kernels.ajd_rotate"} <= names
     assert all(getattr(nsca, name) is fn for name, fn in originals.items())
+
+
+PIPELINE = """
+import sys
+from nsca.cli import main
+d = sys.argv[1]
+rec, idx = f"{d}/synth/record.csv", f"{d}/detect/innovation.csv"
+for args in (
+    f"synth --n 3 --t 4000 --seed 1 --out-dir {d}/synth",
+    f"detect --record {rec} --out-dir {d}/detect",
+    f"detect --record {rec} --detectors easi,cumulant --out-dir {d}/detect2",
+    f"separate --record {rec} --index {idx} --theta 0.5 --out-dir {d}/sep",
+    f"separate --record {rec} --index {idx} --quantiles 3 --out-dir {d}/sep3",
+    f"separate --record {rec} --two-round --target 0 --out-dir {d}/sep2",
+    f"eval --est {d}/sep/est_sources.csv --truth {d}/synth/sources.csv "
+    f"--truth-mask {d}/synth/mask.csv --index {idx}",
+):
+    assert main(args.split()) == 0, args
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_pipeline_loads_no_scipy(tmp_path):
+    # every subcommand, the default and the other CLI detectors and all three
+    # ways to separate, in one fresh process: numpy is the only numeric
+    # dependency at run time, so only numpy's BLAS and its thread pool load
+    src = os.path.dirname(os.path.dirname(nsca.__file__))
+    proc = subprocess.run([sys.executable, "-c", PIPELINE, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

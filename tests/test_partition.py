@@ -100,8 +100,10 @@ class TestThresholdMask:
         assert np.array_equal(base.labels, scaled.labels)
 
     def test_theta_range(self):
-        with pytest.raises(ValueError):
-            threshold_mask(series([1.0, 2.0]), theta_rel=0.0)
+        # True is not a theta_rel of 1.0
+        for theta in (0.0, True, np.True_):
+            with pytest.raises(ValueError, match="theta_rel"):
+                threshold_mask(series([1.0, 2.0]), theta_rel=theta)
 
     def test_fractional_min_event_len_rejected(self):
         # int(2.5) would erode runs shorter than 2, not 2.5
