@@ -8,9 +8,9 @@ Four subcommands cover the pipeline end to end::
     nsca eval     --est run/est_sources.csv --truth run/sources.csv
 
 Every subcommand is deterministic given identical flags, inputs and seed.
-``NSCA_SEED`` overrides ``--seed`` when set. Exit codes: 0 ok, 2 usage
-(a flag value out of range included), 3 unreadable/malformed input,
-4 numeric or model failure (every other nsca error), 5 shape mismatch.
+Exit codes: 0 ok, 2 usage (a flag value out of range included),
+3 unreadable/malformed input, 4 numeric or model failure (every other nsca
+error), 5 shape mismatch.
 ``separate`` forms classes from one of ``--mask``, ``--index`` and
 ``--two-round`` and rejects a flag that path would ignore: ``--mask`` takes
 no class flag and only ``--two-round`` takes ``--lags``.
@@ -96,16 +96,6 @@ def _fail(code, message):
     return code
 
 
-def _resolve_seed(args):
-    env = os.environ.get("NSCA_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise BadSpec(f"NSCA_SEED must be an integer, got {env!r}") from None
-    return args.seed
-
-
 def _out_path(args, name):
     os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
@@ -127,9 +117,9 @@ def _fmt_diag(value):
 
 def cmd_synth(args):
     burst = dict(count=args.count, min_len=args.min_len, max_len=args.max_len,
-                 amplitude=args.amplitude)
+                 amplitude=args.burst_amplitude)
     specs = args.sources.split(",") if args.sources else default_source_specs(args.n)
-    record, truth = gen_mixture(args.n, args.t, burst, specs, seed=_resolve_seed(args),
+    record, truth = gen_mixture(args.n, args.t, burst, specs, seed=args.seed,
                                 sample_rate_hz=args.sample_rate)
     io.write_record(_out_path(args, "record.csv"), record)
     io.write_record(_out_path(args, "sources.csv"), truth.sources)
@@ -317,8 +307,7 @@ def _build_parser():
     p.add_argument("--count", type=int, default=DEFAULT_BURST["count"])
     p.add_argument("--min-len", type=int, default=DEFAULT_BURST["min_len"])
     p.add_argument("--max-len", type=int, default=DEFAULT_BURST["max_len"])
-    p.add_argument("--burst-amplitude", "--amplitude", type=float,
-                   default=DEFAULT_BURST["amplitude"], dest="amplitude")
+    p.add_argument("--burst-amplitude", type=float, default=DEFAULT_BURST["amplitude"])
     p.add_argument("--sources", help="comma list of source specs")
     p.add_argument("--sample-rate", type=float, default=500.0)
     p.add_argument("--out-dir", default=".")

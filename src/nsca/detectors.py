@@ -7,8 +7,7 @@ what they are sensitive to:
 
 * ``anderson_darling_index`` -- distributional drift against a fitted Gaussian;
 * ``energy_envelope`` -- local power;
-* ``cumulant_tracking`` -- drift of one sample cumulant (mean, variance,
-  third moment, excess-kurtosis numerator);
+* ``cumulant_tracking`` -- drift of the trailing mean or variance;
 * ``easi_index`` -- norm of the relative-gradient update of an adaptive
   separator, large whenever the mixture statistics move;
 * ``ar_tracking`` -- drift of autoregressive coefficients between offset
@@ -91,14 +90,15 @@ def _as_series(series):
 class FittedCdf:
     """Gaussian CDF fitted to a calibration stretch of data.
 
-    ValueError unless ``mean`` is finite and ``0 < std < inf``.
+    ValueError unless ``mean`` is finite, ``0 < std < inf`` and neither is a bool.
     """
 
     mean: float
     std: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and 0.0 < self.std < math.inf):
+        if (not (math.isfinite(self.mean) and 0.0 < self.std < math.inf)
+                or any(isinstance(v, (bool, np.bool_)) for v in (self.mean, self.std))):
             raise ValueError("need a finite mean and 0 < std < inf, "
                              f"got mean={self.mean!r}, std={self.std!r}")
 
@@ -213,35 +213,17 @@ def energy_envelope(series, window=DEFAULT_ENVELOPE_WINDOW):
 def cumulant_tracking(series, window=DEFAULT_CUMULANT_WINDOW, order=DEFAULT_CUMULANT_ORDER):
     """Magnitude of one sample cumulant over a trailing window.
 
-    order 1: |mean|; order 2: biased variance; order 3: third central moment
-    magnitude; order 4: |m4 - 3 m2^2| (excess-kurtosis numerator, zero in
-    expectation for Gaussian data). ``valid_from = window - 1``.
+    order 1: |mean|; order 2: biased variance. ``valid_from = window - 1``.
     """
     x = _as_series(series)
     w = as_int(window, "window")
     order = as_int(order, "order")
-    if order not in (1, 2, 3, 4):
-        raise ValueError("order must be 1, 2, 3 or 4")
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
     if not 1 <= w <= x.size:
         raise InvalidWindow(f"window {w} outside [1, {x.size}]")
-    if order >= 3 and w < 8:
-        raise InvalidWindow("windows shorter than 8 are too noisy for order >= 3")
     mu = _trailing_mean(x, w)
-    if order == 1:
-        core = mu
-    else:
-        r2 = _trailing_mean(x * x, w)
-        m2 = r2 - mu * mu
-        if order == 2:
-            core = m2
-        else:
-            r3 = _trailing_mean(x ** 3, w)
-            if order == 3:
-                core = r3 - 3.0 * mu * r2 + 2.0 * mu ** 3
-            else:
-                r4 = _trailing_mean(x ** 4, w)
-                m4 = r4 - 4.0 * mu * r3 + 6.0 * mu * mu * r2 - 3.0 * mu ** 4
-                core = m4 - 3.0 * m2 * m2
+    core = mu if order == 1 else _trailing_mean(x * x, w) - mu * mu
     values = np.zeros(x.size)
     values[w - 1:] = np.abs(core)
     return IndexSeries(

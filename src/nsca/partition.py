@@ -157,14 +157,6 @@ class CovarianceSet:
     total: SymMatrix
     total_mean: np.ndarray  # (n,)
 
-    @property
-    def K(self):
-        return len(self.covs)
-
-    @property
-    def dim(self):
-        return self.total.dim
-
 
 def class_covariances(record, part):
     """Unbiased covariance, mean and weight of each class, plus the totals.

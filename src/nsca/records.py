@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Record", "IndexSeries", "standardize"]
+__all__ = ["Record", "IndexSeries"]
 
 
 class Record:
@@ -16,7 +16,7 @@ class Record:
     samples : array_like, shape (n_channels, n_samples)
         Finite float data. A 1-D array is promoted to a single channel.
     sample_rate_hz : float
-        Positive sampling rate. Defaults to 1.0 (sample units).
+        Positive, finite sampling rate (not a bool). Defaults to 1.0 (sample units).
     channel_names : sequence of str, optional
         One name per channel; defaults to ``ch1 .. chn``.
     """
@@ -31,8 +31,8 @@ class Record:
             raise ValueError("samples must be a (channels, samples) array")
         if not np.isfinite(a).all():
             raise ValueError("record contains non-finite samples")
-        if not sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not 0 < sample_rate_hz < np.inf or isinstance(sample_rate_hz, (bool, np.bool_)):
+            raise ValueError("sample_rate_hz must be positive and finite")
         if a.shape[0] > a.shape[1]:
             warnings.warn(
                 "record has more channels than samples; covariance estimates "
@@ -119,14 +119,3 @@ class IndexSeries:
         """The slice of values past the warm-up."""
         return self.values[self.valid_from:]
 
-
-def standardize(record):
-    """Return a per-channel zero-mean, unit-variance copy of ``record``.
-
-    Channels with zero variance are centered only. Used to pre-scale inputs
-    for detectors that assume normalized data.
-    """
-    x = record.samples - record.samples.mean(axis=1, keepdims=True)
-    sd = x.std(axis=1, ddof=1) if record.length > 1 else np.zeros(record.channels)
-    sd = np.where(sd > 0, sd, 1.0)
-    return Record(x / sd[:, None], record.sample_rate_hz, record.channel_names)

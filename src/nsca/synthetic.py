@@ -93,11 +93,13 @@ def _synth_source(spec, T, sample_rate_hz, rng):
         # product and a sum, so the forward error stays within
         # 2 ceil(log2 T) eps times sum_j |a|^j |e_{t-j}|. The pass's product
         # is a fresh array, so the in-place sum reads no updated sample.
+        # Once |a^d| is below the smallest normal float, every later pass
+        # adds only subnormal terms to samples of order 1, so the scan stops.
         a = spec[1]
         x = rng.standard_normal(T) * np.sqrt(1.0 - a * a)
         x[0] = rng.standard_normal()
         d = 1
-        while d < T:
+        while d < T and abs(a ** d) >= np.finfo(float).tiny:
             x[d:] += a ** d * x[:-d]
             d *= 2
         return x
@@ -240,9 +242,13 @@ def gen_ecg_like(rate_hz, sample_rate_hz, T, width_s, amplitude=1.0, jitter_pct=
     Beat intervals are ``sample_rate_hz / rate_hz`` samples, each multiplied
     by an independent uniform factor in ``1 +/- jitter_pct/100``; the
     shortest interval must be at least one sample. Kernels sum where they
-    overlap. ``seed`` may be an int or a Generator.
+    overlap; ``amplitude`` must be finite. No numeric argument may be a
+    bool. ``seed`` may be an int or a Generator.
     """
     T = as_int(T, "T")
+    numbers = (rate_hz, sample_rate_hz, width_s, amplitude, jitter_pct)
+    if any(isinstance(v, (bool, np.bool_)) for v in numbers) or not np.isfinite(amplitude):
+        raise BadSpec("amplitude must be finite, and no numeric argument may be a bool")
     if not all(0 < v < np.inf for v in (rate_hz, sample_rate_hz, width_s)):
         raise BadSpec("rate, sample rate and width must be positive and finite")
     if not 0 <= jitter_pct < 100:

@@ -24,7 +24,7 @@ from nsca.cli import CLI_EASI_G, CLI_EASI_STEP, main
 from nsca.errors import DegenerateSeries, Diverged, InvalidWindow
 from nsca.io import read_index, write_record
 from nsca.metrics import eval_index_auc
-from nsca.records import IndexSeries, Record, standardize
+from nsca.records import IndexSeries, Record
 from nsca.synthetic import DEFAULT_BURST, default_source_specs, gen_mixture
 
 STD_NORMAL = FittedCdf(mean=0.0, std=1.0)
@@ -57,9 +57,11 @@ class TestFitGaussianCdf:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mean,std", [(0.0, -1.0), (0.0, 0.0), (0.0, math.inf),
-                                          (0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0)])
+                                          (0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0),
+                                          (0.0, True), (0.0, np.True_), (True, 1.0)])
     def test_reference_needs_finite_mean_and_positive_finite_std(self, mean, std):
-        # a negative std turns the AD index into nonsense, 0 divides by zero, inf flattens it
+        # a negative std turns the AD index into nonsense, 0 divides by zero, inf flattens it;
+        # True would run as a std of 1
         with pytest.raises(ValueError, match="0 < std < inf"):
             FittedCdf(mean=mean, std=std)
 
@@ -171,29 +173,9 @@ class TestCumulantTracking:
         k = 40
         assert idx.values[k] == pytest.approx(np.var(x[k - 15 : k + 1]), rel=1e-10)
 
-    def test_order4_gaussian_stays_small(self):
-        # excess-kurtosis numerator has zero mean on Gaussian input; the
-        # w=2000 estimate keeps most samples inside +-0.2
-        x = np.random.default_rng(1).normal(size=20_000)
-        idx = cumulant_tracking(x, window=2000, order=4)
-        v = np.abs(idx.valid_values())
-        assert np.mean(v <= 0.2) >= 0.8
-        assert np.percentile(v, 95) <= 0.35
-
-    def test_order4_spots_variance_burst(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=6000)
-        x[3000:3400] *= 4.0
-        idx = cumulant_tracking(x, window=512, order=4)
-        assert idx.values[3000:3600].max() > 10.0 * np.median(idx.values[512:2500])
-
-    def test_short_window_rejected_for_high_order(self):
-        with pytest.raises(InvalidWindow):
-            cumulant_tracking(np.ones(100), window=7, order=4)
-
     def test_bad_order(self):
         with pytest.raises(ValueError):
-            cumulant_tracking(np.ones(100), window=16, order=5)
+            cumulant_tracking(np.ones(100), window=16, order=3)
 
 
 class TestEasi:
@@ -376,18 +358,12 @@ class TestNormalizeIndex:
         assert np.allclose(out.values, [0.0, 0.5, 1.0])
 
 
-class TestStandardize:
-    def test_unit_variance_per_channel(self):
-        rng = np.random.default_rng(14)
-        rec = Record(rng.normal(3.0, 5.0, size=(2, 1000)))
-        out = standardize(rec)
-        assert np.abs(out.samples.mean(axis=1)).max() <= 1e-12
-        assert np.abs(out.samples.std(axis=1, ddof=1) - 1.0).max() <= 1e-12
-
-    def test_flat_channel_only_centered(self):
-        rec = Record(np.vstack([np.full(10, 4.0), np.arange(10.0)]))
-        out = standardize(rec)
-        assert np.allclose(out.samples[0], 0.0)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan, True, np.True_])
+def test_record_needs_positive_finite_sample_rate(rate):
+    # True would run as a rate of 1.0
+    with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
+        Record(np.zeros((1, 4)), rate)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -400,9 +376,9 @@ def test_every_index_is_finite_past_warmup(seed):
     series = [
         anderson_darling_index(x, window=32),
         energy_envelope(x, window=31),
-        cumulant_tracking(x, window=64, order=4),
+        cumulant_tracking(x, window=64, order=2),
         ar_tracking(x, window=64, ar_order=3),
-        easi_index(standardize(rec), step=0.001),
+        easi_index(prewhiten(rec), step=0.001),
         energy_envelope(rec.channel(0), window=15),
     ]
     for idx in series:
@@ -459,7 +435,7 @@ def _detector_calls():
 
 
 DETECTOR_INTS = {"ad window": 64, "envelope window": 5, "cumulant window": 64,
-                 "cumulant order": 3, "ar window": 64, "ar order": 2, "innovation window": 64,
+                 "cumulant order": 2, "ar window": 64, "ar order": 2, "innovation window": 64,
                  "index valid_from": 3}
 
 

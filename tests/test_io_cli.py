@@ -519,21 +519,22 @@ class TestCliSynth:
         for name in ("record.csv", "sources.csv", "mixing.csv", "mask.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        a.mkdir()
-        b.mkdir()
-        assert run(["synth", "--n", 2, "--t", 1000, "--seed", 9, "--count", 1,
-                    "--min-len", 100, "--max-len", 150, "--out-dir", a]) == 0
+    def test_seed_comes_from_the_flag_alone(self, tmp_path, monkeypatch):
+        # the environment does not set the seed; NSCA_SEED is not read
+        flags = ["synth", "--n", 2, "--t", 1000, "--seed", 0, "--count", 1,
+                 "--min-len", 100, "--max-len", 150, "--out-dir"]
+        assert run(flags + [tmp_path / "a"]) == 0
         monkeypatch.setenv("NSCA_SEED", "9")
-        assert run(["synth", "--n", 2, "--t", 1000, "--seed", 0, "--count", 1,
-                    "--min-len", 100, "--max-len", 150, "--out-dir", b]) == 0
-        assert (a / "record.csv").read_bytes() == (b / "record.csv").read_bytes()
+        assert run(flags + [tmp_path / "b"]) == 0
+        for name in ("record.csv", "sources.csv", "mixing.csv", "mask.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_bad_env_seed_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NSCA_SEED", "twelve")
-        assert run(["synth", "--n", 2, "--t", 1000, "--out-dir", tmp_path]) == 2
+    def test_amplitude_alias_is_gone(self, tmp_path, capsys):
+        # --burst-amplitude is the one name of the burst amplitude
+        assert run(["synth", "--n", 2, "--t", 1000, "--amplitude", 2,
+                    "--out-dir", tmp_path / "out"]) == 2
+        assert "--amplitude" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_required_flag(self, tmp_path, capsys):
         assert run(["synth", "--t", 1000, "--out-dir", tmp_path]) == 2
@@ -867,6 +868,7 @@ class TestCliExitCodes:
         "inf-obs-noise-frac":
             "detect --record {record} --detectors innovation --obs-noise-frac inf",
         "cumulant-order-7": "detect --record {record} --detectors cumulant --cumulant-order 7",
+        "cumulant-order-3": "detect --record {record} --detectors cumulant --cumulant-order 3",
         "non-numeric-pole": "synth --n 3 --t 2000 --sources gaussian,ar1:x,gaussian",
         "ecg-rate-inf": "synth --n 2 --t 1000 --sources gaussian,ecg:inf:0.05",
         "ecg-rate-1e300": "synth --n 2 --t 1000 --sources gaussian,ecg:1e300:0.05",
@@ -900,6 +902,7 @@ class TestCliExitCodes:
         "nan-burst-amplitude": "burst parameters out of range",
         "inf-burst-amplitude": "burst parameters out of range",
         "huge-reg-eps": "reg_eps",
+        "cumulant-order-3": "order must be 1 or 2",
     }
 
     @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))

@@ -12,13 +12,14 @@ from nsca import detectors, linalg, metrics, partition, records, separation, syn
 LAYERS = (linalg, records, detectors, partition, separation, synthetic, metrics)
 
 # The package names of the release before the namespace was built from the
-# layer lists; none of them may go. Two went on purpose:
+# layer lists; none of them may go. Three went on purpose:
 # `reference_trigger_index` (the envelope of one channel, which is
-# `energy_envelope(record.channel(ch))`) and `pooled_complement` (no caller).
+# `energy_envelope(record.channel(ch))`), and `pooled_complement` and
+# `standardize` (no caller).
 EARLIER_NAMES = {
     "errors", "io", "__version__",
     "SymMatrix", "EigPair", "cholesky", "sym_eig", "gevd", "ajd", "off_diag_residual",
-    "amari_index", "Record", "IndexSeries", "standardize", "FittedCdf", "StateSpaceModel",
+    "amari_index", "Record", "IndexSeries", "FittedCdf", "StateSpaceModel",
     "fit_gaussian_cdf", "anderson_darling_index", "energy_envelope", "cumulant_tracking",
     "prewhiten", "easi_index", "ar_tracking", "normalized_innovations",
     "kalman_innovation_index", "fit_ar1_state_space",

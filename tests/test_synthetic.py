@@ -79,6 +79,20 @@ def test_ar1_source_matches_the_loop_at_cli_long_length():
     assert ar1_relative_error(got, 0.7, e) <= ar1_bound(100_000)
 
 
+@pytest.mark.parametrize("a", [0.5, 0.7])
+def test_ar1_scan_skips_only_passes_that_change_nothing(a):
+    # passes whose weight a^d is below the smallest normal float are skipped;
+    # running all ceil(log2 T) of them gives the same bits
+    T = 100_000
+    got = _synth_source(("ar1", a), T, 500.0, np.random.default_rng(5))
+    x = ar1_draws(a, T, np.random.default_rng(5))
+    d = 1
+    while d < T:
+        x[d:] += a ** d * x[:-d]
+        d *= 2
+    assert np.array_equal(got, x)
+
+
 class TestGenMixture:
     def test_same_seed_is_bit_identical(self):
         a_rec, a_truth = gen_mixture(4, 6000, BURST, seed=11)
@@ -223,11 +237,17 @@ class TestGenEcgLike:
             gen_ecg_like(-1.0, 500.0, 5000, width_s=0.02)
         with pytest.raises(BadSpec):
             gen_ecg_like(2.0, 500.0, 5000, width_s=0.02, jitter_pct=150.0)
-        for bad in (math.inf, math.nan):
+        for bad in (math.inf, math.nan, True, np.True_):
             with pytest.raises(BadSpec):
                 gen_ecg_like(2.0, 500.0, 5000, width_s=bad)
             with pytest.raises(BadSpec):
                 gen_ecg_like(2.0, bad, 5000, width_s=0.02)
+            with pytest.raises(BadSpec):  # True would run as a rate of 1.0
+                gen_ecg_like(bad, 500.0, 2000, width_s=0.02)
+            with pytest.raises(BadSpec):  # nan and inf would reach the samples
+                gen_ecg_like(2.0, 500.0, 5000, width_s=0.02, amplitude=bad)
+            with pytest.raises(BadSpec):
+                gen_ecg_like(2.0, 500.0, 5000, width_s=0.02, jitter_pct=bad)
         # the shortest jittered beat interval must be at least one sample
         gen_ecg_like(250.0, 500.0, 1000, width_s=0.001, jitter_pct=50.0)
         with pytest.raises(BadSpec):
