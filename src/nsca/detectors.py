@@ -74,6 +74,8 @@ CDF_CLAMP = 1e-12
 
 
 def _as_series(series):
+    if np.iscomplexobj(series):
+        raise ValueError("series must be real, not complex")
     x = np.ascontiguousarray(series, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise ShapeMismatch("expected a 1-D sample series")
@@ -151,6 +153,7 @@ def anderson_darling_index(series, window=DEFAULT_AD_WINDOW, cdf=None):
         Window length ``p``; ``1 <= p <= len(series)``.
     cdf : FittedCdf, optional
         Reference distribution; fitted to the whole series when omitted.
+        Any other type raises ``TypeError``.
 
     Returns
     -------
@@ -163,6 +166,8 @@ def anderson_darling_index(series, window=DEFAULT_AD_WINDOW, cdf=None):
         raise InvalidWindow(f"window {p} outside [1, {x.size}]")
     if cdf is None:
         cdf = fit_gaussian_cdf(x)
+    elif not isinstance(cdf, FittedCdf):
+        raise TypeError("anderson_darling_index expects a FittedCdf")
     values = _kernels.ad_sliding(x, p, cdf.mean, cdf.std, CDF_CLAMP)
     return IndexSeries(
         values,

@@ -52,6 +52,18 @@ AJD_ANGLE_TOL = 1e-10
 CHOLESKY_PIVOT_TOL = 1e-12  # relative to trace/n
 
 
+def as_weights(weights, K, who):
+    """``weights`` as a (K,) float array; ValueError unless they are finite,
+    nonnegative and not all zero, bools excluded."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (K,):
+        raise ShapeMismatch(f"{who}: expected {K} weights, got shape {w.shape}")
+    if (not (np.isfinite(w).all() and (w >= 0).all() and (w > 0).any())
+            or any(isinstance(v, (bool, np.bool_)) for v in weights)):
+        raise ValueError(f"{who}: weights must be finite, nonnegative, not all zero and not bools")
+    return w
+
+
 class SymMatrix:
     """A real symmetric matrix; construction symmetrizes its input.
 
@@ -62,6 +74,8 @@ class SymMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
+        if np.iscomplexobj(entries):
+            raise ValueError("SymMatrix entries must be real, not complex")
         a = np.array(entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ShapeMismatch("SymMatrix requires a square 2-D array")
@@ -260,9 +274,9 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
     mats : sequence of SymMatrix or array_like
         Matrices to diagonalize jointly; at least one.
     weights : sequence of float, optional
-        Finite, nonnegative weight per matrix, not all zero; uniform if
-        omitted. Other weights raise ``ValueError``. A common positive factor
-        on the weights leaves ``W`` as it is, up to rounding.
+        Finite, nonnegative weight per matrix (not a bool), not all zero;
+        uniform if omitted. Other weights raise ``ValueError``. A common
+        positive factor on the weights leaves ``W`` as it is, up to rounding.
     whitener : SymMatrix or array_like, optional
         Positive definite matrix defining the metric. Defaults to the
         unweighted mean of ``mats``.
@@ -297,11 +311,7 @@ def ajd(mats, weights=None, whitener=None, reg_eps=0.0, max_sweeps=AJD_MAX_SWEEP
     if weights is None:
         w = np.ones(K)
     else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (K,):
-            raise ShapeMismatch("ajd: one weight per matrix")
-        if not (np.isfinite(w).all() and (w >= 0).all() and (w > 0).any()):
-            raise ValueError("ajd: weights must be finite and nonnegative, and not all zero")
+        w = as_weights(weights, K, "ajd")
     if whitener is None:
         whitener = SymMatrix(sum(stack) / K)
     L = _whitening_factor(whitener, reg_eps)

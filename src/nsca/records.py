@@ -14,7 +14,8 @@ class Record:
     Parameters
     ----------
     samples : array_like, shape (n_channels, n_samples)
-        Finite float data. A 1-D array is promoted to a single channel.
+        Finite real data; complex input raises ``ValueError``. A 1-D array
+        is promoted to a single channel.
     sample_rate_hz : float
         Positive, finite sampling rate (not a bool). Defaults to 1.0 (sample units).
     channel_names : sequence of str, optional
@@ -24,6 +25,8 @@ class Record:
     __slots__ = ("samples", "sample_rate_hz", "channel_names")
 
     def __init__(self, samples, sample_rate_hz=1.0, channel_names=None):
+        if np.iscomplexobj(samples):
+            raise ValueError("record samples must be real, not complex")
         a = np.array(samples, dtype=np.float64)
         if a.ndim == 1:
             a = a.reshape(1, -1)
@@ -99,6 +102,8 @@ class IndexSeries:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise ValueError("index values must be real, not complex")
         v = np.array(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("index values must be a nonempty 1-D array")

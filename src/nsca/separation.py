@@ -15,7 +15,7 @@ import numpy as np
 
 from .detectors import energy_envelope
 from .errors import BadClass, BadComponent, ShapeMismatch
-from .linalg import SymMatrix, ajd, gevd, sample_cov, sym_eig
+from .linalg import SymMatrix, ajd, as_weights, gevd, sample_cov, sym_eig
 from .partition import Partition, class_covariances, threshold_mask
 from .records import Record, as_int, as_record
 
@@ -153,17 +153,14 @@ def eigenratio_map(spectra, weights):
     ``d_j = L_j / sum_{i != j} w_i L_i`` elementwise, denominators floored at
     1e-12. ``best_component[j]`` is the argmax of ``d_j`` (ties to the lowest
     index); ``one_to_one`` says whether classes claim distinct components.
-    A non-finite weight raises ValueError.
+    Weights must be finite, nonnegative, not all zero and not bools
+    (ValueError).
     """
     S = np.asarray(spectra, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] == 0:
         raise ShapeMismatch("spectra must be (K, n) with K >= 1")
     K = S.shape[0]
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (K,):
-        raise ShapeMismatch("one weight per class")
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
+    w = as_weights(weights, K, "eigenratio_map")
     # row j of terms holds w_i S_i, with 0 in place of class j; accumulating
     # along the rows sums the other classes left to right
     terms = np.where(np.eye(K, dtype=bool)[:, :, None], 0.0, w[:, None] * S)

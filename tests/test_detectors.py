@@ -112,6 +112,10 @@ class TestAndersonDarling:
         with pytest.raises(InvalidWindow):
             anderson_darling_index(np.ones(4), window=0, cdf=STD_NORMAL)
 
+    def test_cdf_must_be_a_fitted_cdf(self):
+        with pytest.raises(TypeError, match="expects a FittedCdf"):
+            anderson_darling_index(np.ones(4), window=2, cdf=(0.0, 1.0))
+
     def test_default_fit_matches_explicit(self):
         x = np.random.default_rng(2).normal(2.0, 3.0, size=200)
         auto = anderson_darling_index(x, window=25)
@@ -364,6 +368,25 @@ def test_record_needs_positive_finite_sample_rate(rate):
     # True would run as a rate of 1.0
     with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
         Record(np.zeros((1, 4)), rate)
+
+
+REAL_INPUTS = {
+    "record": lambda a: Record(a.reshape(2, -1)),
+    "index": lambda a: IndexSeries(a, valid_from=0, name="t"),
+    "series": lambda a: energy_envelope(a, window=1),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make", sorted(REAL_INPUTS))
+def test_complex_and_non_finite_samples_rejected(make):
+    # a cast to float64 would keep only the real part, warning at most
+    good = np.array([1.0, 2.0, 3.0, 4.0])
+    for bad, match in ((good + 1j, "complex"), (good.astype(complex), "complex"),
+                       (np.array([1.0, np.nan, 3.0, 4.0]), "non-finite")):
+        with pytest.raises(ValueError, match=match):
+            REAL_INPUTS[make](bad)
+    REAL_INPUTS[make](good)
 
 
 @pytest.mark.parametrize("seed", range(5))

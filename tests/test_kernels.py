@@ -134,8 +134,12 @@ class TestAdBlocks:
         # counts for about one series in six, so eight series are hashed at
         # the default window. Blocks of a fixed 4096 windows went over
         # OpenBLAS's threading threshold at p=128 and p=200 on these lengths,
-        # and one-window products above 10000 samples went over it too.
+        # and one-window products above 10000 samples went over it too. The
+        # EASI scan's index and final W are hashed too, on prewhitened
+        # generator records, for both nonlinearities.
         code = ("import hashlib, numpy as np; from nsca import _kernels\n"
+                "from nsca.detectors import EASI_DIVERGENCE_CAP, prewhiten\n"
+                "from nsca.synthetic import DEFAULT_BURST, default_source_specs, gen_mixture\n"
                 "cases = [(seed, 100_000, 64) for seed in range(8)]\n"
                 "cases += [(seed, T, p) for seed in range(3)\n"
                 "          for T, p in ((12_020, 128), (12_092, 200), (10_027, 10_001),\n"
@@ -143,7 +147,14 @@ class TestAdBlocks:
                 "for seed, T, p in cases:\n"
                 "    x = np.random.default_rng(seed).normal(size=T)\n"
                 "    out = _kernels.ad_sliding(x, p, 0.0, 1.0, 1e-12)\n"
-                "    print(p, hashlib.sha256(out.tobytes()).hexdigest())")
+                "    print(p, hashlib.sha256(out.tobytes()).hexdigest())\n"
+                "for n in (2, 5, 8):\n"
+                "    rec, _ = gen_mixture(n, 20_000, DEFAULT_BURST, default_source_specs(n), seed=n)\n"
+                "    xt = np.ascontiguousarray(prewhiten(rec).samples.T)\n"
+                "    for nonlin in (0, 1):\n"
+                "        idx, W, status, where = _kernels.easi_scan(xt, 1e-4, nonlin, EASI_DIVERGENCE_CAP)\n"
+                "        print(n, nonlin, status, where,\n"
+                "              hashlib.sha256(idx.tobytes() + W.tobytes()).hexdigest())")
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
                                   stderr=subprocess.PIPE, text=True,

@@ -37,6 +37,13 @@ class TestSymMatrix:
         with pytest.raises(ShapeMismatch):
             SymMatrix(np.zeros((2, 3)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_complex_and_non_finite(self):
+        for bad, match in (([[1.0, 2j], [-2j, 3.0]], "complex"), (np.eye(2, dtype=complex), "complex"),
+                           ([[1.0, np.inf], [0.0, 1.0]], "finite")):
+            with pytest.raises(ValueError, match=match):
+                SymMatrix(bad)
+
     def test_entries_read_only(self):
         s = SymMatrix(np.eye(2))
         with pytest.raises(ValueError):
@@ -287,7 +294,8 @@ class TestAjd:
         with pytest.raises(ValueError):
             ajd([np.eye(2)], weights=[-1.0])
         A, B = np.diag([1.0, 2.0]) + 0.5, np.diag([3.0, 1.0]) + 0.5
-        for bad in ([np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0]):
+        for bad in ([np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0], [-1.0, 1.0], [True, False],
+                    [np.True_, 1.0], np.array([True, True])):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # rejected before numpy warns
                 with pytest.raises(ValueError, match="weights"):

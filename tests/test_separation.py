@@ -209,11 +209,15 @@ class TestEigenratioMap:
         with pytest.raises(ShapeMismatch):
             eigenratio_map(np.ones((2, 3)), weights=[1.0])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, True, np.True_])
     def test_non_finite_weight_rejected(self, bad):
-        # a NaN weight makes the other classes' ratios NaN; argmax maps them to 0
-        with pytest.raises(ValueError, match="finite"):
-            eigenratio_map(np.ones((2, 3)), weights=[1.0, bad])
+        # a NaN weight makes the other classes' ratios NaN; argmax maps them to 0. A
+        # negative or all-zero weight leaves the 1e-12 floor as the denominator, and a
+        # bool would run as 1.0
+        S = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+        for weights in ([1.0, bad], [bad, bad], [0.0, 0.0]):
+            with pytest.raises(ValueError, match="finite"):
+                eigenratio_map(S, weights=weights)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
