@@ -21,7 +21,10 @@ only once it is completely written.
 The scalar detectors (distribution, envelope, cumulant) read the designated
 reference channel; the adaptive-separation index consumes the prewhitened
 record and the innovation index runs a state-space model fitted to the full
-record. ``detect`` runs ``ad``, ``envelope`` and ``innovation`` by default.
+record; the envelope, cumulant and innovation indexes are centred moving
+means. ``detect`` runs ``ad``, ``envelope`` and ``innovation`` by default.
+``separate --theta t`` labels the samples at least ``t`` of the way from the
+index's minimum to its maximum as events.
 """
 
 import argparse
@@ -70,7 +73,7 @@ from .synthetic import DEFAULT_BURST, default_source_specs, gen_mixture
 __all__ = ["main"]
 
 # The bank the detector scorecard test supports; easi (most of the compute,
-# never above innovation) and cumulant (the envelope's AUC) are opt-in.
+# never above innovation) and cumulant (a demeaned envelope) are opt-in.
 DEFAULT_DETECTORS = ("ad", "envelope", "innovation")
 
 # The CLI feeds the adaptive separator a prewhitened record, where a step

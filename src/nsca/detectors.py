@@ -7,16 +7,19 @@ what they are sensitive to:
 
 * ``anderson_darling_index`` -- distributional drift against a fitted Gaussian;
 * ``energy_envelope`` -- local power;
-* ``cumulant_tracking`` -- drift of the trailing mean or variance;
+* ``cumulant_tracking`` -- drift of the local mean or variance;
 * ``easi_index`` -- norm of the relative-gradient update of an adaptive
   separator, large whenever the mixture statistics move;
 * ``ar_tracking`` -- drift of autoregressive coefficients between offset
   windows;
-* ``kalman_innovation_index`` -- whiteness of the normalized innovations of a
-  linear state-space model, large where the data leaves the model.
+* ``kalman_innovation_index`` -- local mean of the normalized innovations of
+  a linear state-space model, large where the data leaves the model.
 
-Warm-up samples (before a detector has a full window) are zeroed and the
-first trustworthy sample is exposed as ``valid_from``.
+Records are read whole, so the envelope, cumulant and innovation indexes are
+moving means centred on the sample they label (a trailing window reports an
+event half a window late), truncated at the edges, with ``valid_from = 0``.
+AD and AR windows trail: their warm-up samples are zeroed, and the first
+trustworthy sample is ``valid_from``.
 """
 
 import math
@@ -181,17 +184,14 @@ def anderson_darling_index(series, window=DEFAULT_AD_WINDOW, cdf=None):
 # Power and cumulant trackers
 # ---------------------------------------------------------------------------
 
-def _prefix(x):
-    out = np.empty(x.size + 1)
-    out[0] = 0.0
-    np.cumsum(x, out=out[1:])
-    return out
-
-
-def _trailing_mean(x, w):
-    """Means of the ``x.size - w + 1`` trailing windows of length ``w``."""
-    s = _prefix(x)
-    return (s[w:] - s[:-w]) / w
+def _centred_mean(x, w):
+    """Per ``k``, the mean of ``x`` over ``[k - w // 2, k - w // 2 + w)`` clipped
+    to ``[0, T)``, from one running sum: rounding grows with ``T * max|x|``."""
+    s = np.zeros(x.size + 1)
+    np.cumsum(x, out=s[1:])
+    start = np.arange(x.size) - w // 2
+    lo, hi = np.maximum(start, 0), np.minimum(start + w, x.size)
+    return (s[hi] - s[lo]) / (hi - lo)
 
 
 def energy_envelope(series, window=DEFAULT_ENVELOPE_WINDOW):
@@ -205,20 +205,14 @@ def energy_envelope(series, window=DEFAULT_ENVELOPE_WINDOW):
     w = as_int(window, "window")
     if w < 1 or w % 2 == 0 or w > x.size:
         raise InvalidWindow(f"window must be odd, in [1, {x.size}]; got {w}")
-    h = (w - 1) // 2
-    s2 = _prefix(x * x)
-    T = x.size
-    k = np.arange(T)
-    lo = np.maximum(k - h, 0)
-    hi = np.minimum(k + h + 1, T)
-    values = (s2[hi] - s2[lo]) / (hi - lo)
+    values = _centred_mean(x * x, w)
     return IndexSeries(values, valid_from=0, name="energy_envelope", meta={"window": w})
 
 
 def cumulant_tracking(series, window=DEFAULT_CUMULANT_WINDOW, order=DEFAULT_CUMULANT_ORDER):
-    """Magnitude of one sample cumulant over a trailing window.
+    """Magnitude of one sample cumulant over a centred, edge-truncated window.
 
-    order 1: |mean|; order 2: biased variance. ``valid_from = window - 1``.
+    order 1: |mean|; order 2: biased variance. ``valid_from = 0``.
     """
     x = _as_series(series)
     w = as_int(window, "window")
@@ -227,12 +221,10 @@ def cumulant_tracking(series, window=DEFAULT_CUMULANT_WINDOW, order=DEFAULT_CUMU
         raise ValueError("order must be 1 or 2")
     if not 1 <= w <= x.size:
         raise InvalidWindow(f"window {w} outside [1, {x.size}]")
-    mu = _trailing_mean(x, w)
-    core = mu if order == 1 else _trailing_mean(x * x, w) - mu * mu
-    values = np.zeros(x.size)
-    values[w - 1:] = np.abs(core)
+    mu = _centred_mean(x, w)
+    core = mu if order == 1 else _centred_mean(x * x, w) - mu * mu
     return IndexSeries(
-        values, valid_from=w - 1, name=f"cumulant_{order}", meta={"window": w, "order": order}
+        np.abs(core), valid_from=0, name=f"cumulant_{order}", meta={"window": w, "order": order}
     )
 
 
@@ -351,7 +343,7 @@ def ar_tracking(series, window=DEFAULT_AR_WINDOW, ar_order=DEFAULT_AR_ORDER):
 
 
 # ---------------------------------------------------------------------------
-# State-space innovation-whiteness detector
+# State-space innovation detector
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -445,25 +437,19 @@ def normalized_innovations(record, model):
 
 
 def kalman_innovation_index(record, model, window=DEFAULT_WHITENESS_WINDOW):
-    """Innovation-whiteness index: trailing mean of ``e`` plus |lag-1 autocorr|.
+    """Innovation index: local mean of the normalized innovations.
 
-    ``e`` are the normalized squared innovations of the model run on the
-    record. Each output combines the trailing-window mean of ``e`` with the
-    magnitude of the window's lag-1 Yule-Walker coefficient, which is the
-    biased lag-1 autocorrelation ``c1 / c0`` of the demeaned window, so both
-    energy excursions and serial structure (either one betrays a model
-    mismatch) raise the index. A window with zero power or ``|c1 / c0| >= 1``
-    adds no whiteness term. ``valid_from = window - 1``.
+    The centred, edge-truncated moving mean of the model's normalized
+    squared innovations ``e`` (:func:`normalized_innovations`) over
+    ``window`` samples: near ``obs_dim`` where the record follows the model,
+    higher where the data leaves it. ``valid_from = 0``.
     """
     record = as_record(record)
     w = as_int(window, "window")
     if not 2 <= w <= record.length:
         raise InvalidWindow(f"window {w} outside [2, {record.length}]")
-    e = normalized_innovations(record, model)
-    rho = _kernels.ar_sliding(e, w, 1)[0][w - 1:, 0]
-    values = np.zeros(e.size)
-    values[w - 1:] = _trailing_mean(e, w) + np.abs(rho)
-    return IndexSeries(values, valid_from=w - 1, name="innovation", meta={"window": w})
+    values = _centred_mean(normalized_innovations(record, model), w)
+    return IndexSeries(values, valid_from=0, name="innovation", meta={"window": w})
 
 
 def fit_ar1_state_space(record, obs_noise_frac=1e-3):

@@ -54,7 +54,9 @@ CHOLESKY_PIVOT_TOL = 1e-12  # relative to trace/n
 
 def as_weights(weights, K, who):
     """``weights`` as a (K,) float array; ValueError unless they are finite,
-    nonnegative and not all zero, bools excluded."""
+    nonnegative and not all zero, bools and complex values excluded."""
+    if np.iscomplexobj(weights):
+        raise ValueError(f"{who}: weights must be real, not complex")
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (K,):
         raise ShapeMismatch(f"{who}: expected {K} weights, got shape {w.shape}")
@@ -339,7 +341,8 @@ def off_diag_residual(W, mats, weights=None):
         Candidate demixer, columns are components.
     mats : sequence of SymMatrix or array_like
     weights : sequence of float, optional
-        Uniform if omitted.
+        Uniform if omitted; otherwise one per matrix, finite, nonnegative,
+        not all zero and not bools (ValueError).
 
     Returns
     -------
@@ -347,7 +350,8 @@ def off_diag_residual(W, mats, weights=None):
         ``sum_i w_i * sum_{p != q} (W.T C_i W)[p, q]^2``.
     """
     stack = np.stack([as_sym(m).entries for m in mats])
-    w = np.ones(len(stack)) if weights is None else np.asarray(weights, dtype=np.float64)
+    K = len(stack)
+    w = np.ones(K) if weights is None else as_weights(weights, K, "off_diag_residual")
     D = W.T @ stack @ W
     diag = np.arange(D.shape[1])
     D[:, diag, diag] = 0.0

@@ -3,10 +3,10 @@
 An index series says how nonstationary each sample looks; this module turns
 that into a labeling of the record and estimates the per-class covariance
 structure that the separation engines diagonalize. ``threshold_mask`` labels
-as events the samples at or above ``theta_rel`` times the index's valid
-maximum; ``quantile_partition`` cuts the index at its ``j/K`` quantiles. No
-null distribution enters either rule: the paper's level-alpha hypothesis test
-is still open (ROADMAP item 2).
+as events the samples ``theta_rel`` of the way from the index's valid minimum
+to its maximum; ``quantile_partition`` cuts the index at its ``j/K``
+quantiles. No null distribution enters either rule: the paper's level-alpha
+hypothesis test is still open (ROADMAP item 2).
 
 ``class_covariances`` sorts the record's columns by label once, so that each
 class is one contiguous run of columns, and runs ``linalg.sample_cov`` on each
@@ -90,10 +90,11 @@ def _erode_short_events(labels, min_event_len):
 def threshold_mask(idx, theta_rel=0.5, min_event_len=1):
     """Two-class partition: label 1 where the index reaches a relative level.
 
-    The threshold is ``theta_rel`` times the index maximum over its valid
-    range, compared inclusively, so ``theta_rel = 1.0`` selects the argmax
-    samples. Label-1 runs shorter than ``min_event_len`` are erased. Warm-up
-    samples are background.
+    The threshold is ``lo + theta_rel * (hi - lo)`` for the index minimum
+    ``lo`` and maximum ``hi`` over its valid range, so the labels of
+    ``a * idx + b`` (``a > 0``) are those of ``idx``. It is compared
+    inclusively: ``theta_rel = 1.0`` selects the argmax samples. Label-1 runs
+    shorter than ``min_event_len`` are erased. Warm-up samples are background.
 
     Raises
     ------
@@ -109,7 +110,8 @@ def threshold_mask(idx, theta_rel=0.5, min_event_len=1):
     if min_event_len < 1:
         raise ValueError("min_event_len must be >= 1")
     valid = idx.valid_values()
-    thr = theta_rel * valid.max()
+    lo, hi = valid.min(), valid.max()
+    thr = hi - (1.0 - theta_rel) * (hi - lo)  # exactly hi at theta_rel = 1.0
     labels = np.zeros(idx.length, dtype=np.int64)
     labels[idx.valid_from:] = (valid >= thr).astype(np.int64)
     labels = _erode_short_events(labels, min_event_len)

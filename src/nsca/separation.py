@@ -153,9 +153,11 @@ def eigenratio_map(spectra, weights):
     ``d_j = L_j / sum_{i != j} w_i L_i`` elementwise, denominators floored at
     1e-12. ``best_component[j]`` is the argmax of ``d_j`` (ties to the lowest
     index); ``one_to_one`` says whether classes claim distinct components.
-    Weights must be finite, nonnegative, not all zero and not bools
-    (ValueError).
+    Weights must be finite, nonnegative, not all zero and not bools, and
+    neither spectra nor weights may be complex (ValueError).
     """
+    if np.iscomplexobj(spectra):
+        raise ValueError("spectra must be real, not complex")
     S = np.asarray(spectra, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] == 0:
         raise ShapeMismatch("spectra must be (K, n) with K >= 1")
@@ -186,7 +188,8 @@ def two_round_targeted(record, lags, target_component, reg_eps=0.0, round2_theta
     ``{(C(tau) + C(tau)^T) / 2}`` whitened by the total covariance -- a
     second-order blind pass that separates sources with distinct spectra.
     Round 2 treats the chosen round-1 component as a trigger: samples where
-    its energy envelope reaches ``round2_theta`` of peak become the event
+    its energy envelope reaches ``round2_theta`` of the way from its floor
+    to its peak (:func:`~nsca.partition.threshold_mask`) become the event
     class, and a two-class separation on the *original* record sharpens the
     component. Useful when one round-1 component is only roughly the target.
     The order of the round-1 components is not specified, so which component

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nsca.detectors import (
     FittedCdf,
+    _centred_mean,
     anderson_darling_index,
     ar_tracking,
     cumulant_tracking,
@@ -172,14 +174,31 @@ class TestCumulantTracking:
         assert np.allclose(idx.valid_values(), 0.0)
 
     def test_order2_matches_biased_variance(self):
+        # the window is centred: [k - 8, k + 8) for window 16
         x = np.random.default_rng(5).normal(size=64)
         idx = cumulant_tracking(x, window=16, order=2)
         k = 40
-        assert idx.values[k] == pytest.approx(np.var(x[k - 15 : k + 1]), rel=1e-10)
+        assert idx.valid_from == 0
+        assert idx.values[k] == pytest.approx(np.var(x[k - 8 : k + 8]), rel=1e-10)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
             cumulant_tracking(np.ones(100), window=16, order=3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 300))
+def test_centred_mean_matches_clipped_window_loop(data, T):
+    # value k is the mean over [k - w // 2, k - w // 2 + w) clipped to [0, T).
+    # Each step of the running sum rounds by at most eps/2 times the partial
+    # sum, at most T * max|x|, and a window mean carries at most one such
+    # error per sample divided by the sample count; hence the absolute bound.
+    x = data.draw(arrays(np.float64, T, elements=st.floats(-1e6, 1e6)), label="x")
+    w = data.draw(st.integers(1, T), label="window")
+    ref = np.array([x[max(k - w // 2, 0) : k - w // 2 + w].mean() for k in range(T)])
+    got = _centred_mean(x, w)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - ref) <= 4 * eps * T * np.abs(x).max() + 4 * eps * np.abs(ref))
 
 
 class TestEasi:
@@ -434,7 +453,7 @@ def test_detector_scorecard():
             auc[name].append(eval_index_auc(detector(rec), truth.burst_mask))
     median = {name: float(np.median(v)) for name, v in auc.items()}
     table = {name: (round(median[name], 3), round(min(v), 3)) for name, v in auc.items()}
-    assert min(auc["innovation"]) >= 0.9, table
+    assert min(auc["innovation"]) >= 0.95, table
     assert all(median["innovation"] > m for name, m in median.items() if name != "innovation"), table
     assert median["envelope"] >= 0.8 and median["cumulant"] >= 0.8, table
     assert median["ad"] >= 0.65 and median["easi"] >= 0.65, table

@@ -295,7 +295,8 @@ class TestAjd:
             ajd([np.eye(2)], weights=[-1.0])
         A, B = np.diag([1.0, 2.0]) + 0.5, np.diag([3.0, 1.0]) + 0.5
         for bad in ([np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0], [-1.0, 1.0], [True, False],
-                    [np.True_, 1.0], np.array([True, True])):
+                    [np.True_, 1.0], np.array([True, True]), [1 + 4j, 1.0],
+                    np.ones(2, dtype=complex)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # rejected before numpy warns
                 with pytest.raises(ValueError, match="weights"):
@@ -315,6 +316,17 @@ class TestOffDiagResidual:
     def test_weighted(self):
         C = np.array([[1.0, 1.0], [1.0, 1.0]])
         assert off_diag_residual(np.eye(2), [C, C], weights=[2.0, 3.0]) == pytest.approx(10.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_weight_validation(self):
+        # the weight rule of ajd: [-1.0] gave -2.0, [True] ran as 1.0, [nan]
+        # gave nan and a complex weight ran as its real part
+        C = np.array([[1.0, 1.0], [1.0, 1.0]])
+        for bad in ([-1.0], [True], [np.nan], [1 + 4j]):
+            with pytest.raises(ValueError, match="off_diag_residual: weights"):
+                off_diag_residual(np.eye(2), [C], weights=bad)
+        with pytest.raises(ShapeMismatch):
+            off_diag_residual(np.eye(2), [C], weights=[1.0, 1.0])
 
 
 class TestAmariIndex:

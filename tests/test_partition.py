@@ -87,17 +87,34 @@ class TestThresholdMask:
             threshold_mask(idx, theta_rel=0.5, min_event_len=3)
 
     def test_warmup_is_background(self):
-        # index values in the warm-up are zeroed and never labeled 1
+        # index values in the warm-up are zeroed and never labeled 1, and
+        # the zeros do not set the floor: the threshold is 1 + 0.1 * (8 - 1)
         idx = series([7.0, 7.0, 1.0, 8.0], valid_from=2)
         part = threshold_mask(idx, theta_rel=0.1)
-        assert part.labels.tolist() == [0, 0, 1, 1]
+        assert part.labels.tolist() == [0, 0, 0, 1]
 
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(0)
-        idx = series(rng.uniform(0.0, 1.0, size=200))
-        base = threshold_mask(idx, theta_rel=0.6)
-        scaled = threshold_mask(series(idx.values * 37.0), theta_rel=0.6)
-        assert np.array_equal(base.labels, scaled.labels)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(-2**20, 2**20), min_size=2, max_size=200),
+        st.integers(-8, 8),
+        st.integers(-2**20, 2**20),
+        st.integers(1, 64),
+    )
+    def test_scale_invariance(self, values, log2_scale, shift, theta_64ths):
+        # labels of a * idx + b equal those of idx for a > 0. Integer values,
+        # a power-of-two scale, an integer shift and theta in 64ths keep every
+        # step of the threshold exact, so no sample can sit within rounding
+        # of it on one side only.
+        idx = series(values)
+        moved = series(np.ldexp(np.asarray(values, dtype=float), log2_scale) + shift)
+        theta = theta_64ths / 64
+        try:
+            base = threshold_mask(idx, theta_rel=theta).labels
+        except EmptyClass:
+            with pytest.raises(EmptyClass):
+                threshold_mask(moved, theta_rel=theta)
+            return
+        assert np.array_equal(threshold_mask(moved, theta_rel=theta).labels, base)
 
     def test_theta_range(self):
         # True is not a theta_rel of 1.0

@@ -219,6 +219,16 @@ class TestEigenratioMap:
             with pytest.raises(ValueError, match="finite"):
                 eigenratio_map(S, weights=weights)
 
+    @pytest.mark.filterwarnings("error")
+    def test_complex_input_rejected(self):
+        # a float cast would keep only the real parts, warning at most
+        S = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+        for spectra in (S + 5j, S.astype(complex), [[1 + 5j, 2, 3], [3, 2, 1]]):
+            with pytest.raises(ValueError, match="spectra must be real"):
+                eigenratio_map(spectra, weights=[1.0, 1.0])
+        with pytest.raises(ValueError, match="weights must be real"):
+            eigenratio_map(S, weights=[1 + 2j, 1.0])
+
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 12), n=st.integers(1, 6))
