@@ -18,11 +18,12 @@ no class flag and only ``--two-round`` takes ``--lags``.
 either side without the other is a usage error. An output file is replaced
 only once it is completely written.
 
-The scalar detectors (distribution, envelope, cumulant) read the designated
-reference channel; the adaptive-separation index consumes the prewhitened
-record and the innovation index runs a state-space model fitted to the full
-record; the envelope, cumulant and innovation indexes are centred moving
-means. ``detect`` runs ``ad``, ``envelope`` and ``innovation`` by default.
+The scalar detectors (distribution, envelope) read the designated reference
+channel; the adaptive-separation index consumes the prewhitened record and
+the innovation index runs a state-space model fitted to the full record.
+Every index ``detect`` writes is centred, with no warm-up. ``--window`` sets
+the envelope and innovation windows; AD keeps its own. ``detect`` runs
+``ad``, ``envelope`` and ``innovation`` by default, ``easi`` when named.
 ``separate --theta t`` labels the samples at least ``t`` of the way from the
 index's minimum to its maximum as events.
 """
@@ -35,13 +36,8 @@ import numpy as np
 
 from . import io
 from .detectors import (
-    DEFAULT_AD_WINDOW,
-    DEFAULT_CUMULANT_ORDER,
-    DEFAULT_CUMULANT_WINDOW,
-    DEFAULT_ENVELOPE_WINDOW,
-    DEFAULT_WHITENESS_WINDOW,
+    DEFAULT_WINDOW,
     anderson_darling_index,
-    cumulant_tracking,
     easi_index,
     energy_envelope,
     fit_ar1_state_space,
@@ -73,7 +69,7 @@ from .synthetic import DEFAULT_BURST, default_source_specs, gen_mixture
 __all__ = ["main"]
 
 # The bank the detector scorecard test supports; easi (most of the compute,
-# never above innovation) and cumulant (a demeaned envelope) are opt-in.
+# never above innovation) is opt-in.
 DEFAULT_DETECTORS = ("ad", "envelope", "innovation")
 
 # The CLI feeds the adaptive separator a prewhitened record, where a step
@@ -136,17 +132,16 @@ def cmd_synth(args):
 # detect
 # ---------------------------------------------------------------------------
 
-# Each detector, called with the record, its reference channel and the flags.
-# The lambdas look the detector functions up when they run, so rebinding a
-# module name (as a tracer does) reaches the call.
+# Each detector, called with the record, its reference channel and the flags;
+# AD keeps its short library window, as its kernel costs O(T * window). The
+# lambdas look the detector functions up when they run, so rebinding a module
+# name (as a tracer does) reaches the call.
 DETECTORS = {
-    "ad": lambda record, ref, args: anderson_darling_index(ref, args.ad_window),
-    "envelope": lambda record, ref, args: energy_envelope(ref, args.envelope_window),
-    "easi": lambda record, ref, args: easi_index(prewhiten(record), args.easi_step, args.easi_g),
+    "ad": lambda record, ref, args: anderson_darling_index(ref),
+    "envelope": lambda record, ref, args: energy_envelope(ref, args.window),
+    "easi": lambda record, ref, args: easi_index(prewhiten(record), CLI_EASI_STEP, CLI_EASI_G),
     "innovation": lambda record, ref, args: kalman_innovation_index(
-        record, fit_ar1_state_space(record, args.obs_noise_frac), args.whiteness_window),
-    "cumulant": lambda record, ref, args: cumulant_tracking(
-        ref, args.cumulant_window, args.cumulant_order),
+        record, fit_ar1_state_space(record), args.window),
 }
 
 
@@ -180,9 +175,7 @@ def cmd_detect(args):
     results = [(name, DETECTORS[name](record, ref, args)) for name in names]
     for name, idx in results:
         io.write_index(_out_path(args, f"{name}.csv"), idx)
-        valid = idx.values[idx.valid_from:]
-        argmax = int(np.argmax(valid)) + idx.valid_from
-        print(f"{name} max={valid.max():.6g} argmax={argmax} valid_from={idx.valid_from}")
+        print(f"{name} max={idx.values.max():.6g} argmax={int(np.argmax(idx.values))}")
     return 0
 
 
@@ -320,14 +313,8 @@ def _build_parser():
     p.add_argument("--record", required=True)
     p.add_argument("--detectors", default=",".join(DEFAULT_DETECTORS))
     p.add_argument("--ref-channel", type=int, default=0)
-    p.add_argument("--ad-window", type=int, default=DEFAULT_AD_WINDOW)
-    p.add_argument("--envelope-window", type=int, default=DEFAULT_ENVELOPE_WINDOW)
-    p.add_argument("--cumulant-window", type=int, default=DEFAULT_CUMULANT_WINDOW)
-    p.add_argument("--cumulant-order", type=int, default=DEFAULT_CUMULANT_ORDER)
-    p.add_argument("--whiteness-window", type=int, default=DEFAULT_WHITENESS_WINDOW)
-    p.add_argument("--obs-noise-frac", type=float, default=1e-3)
-    p.add_argument("--easi-step", type=float, default=CLI_EASI_STEP)
-    p.add_argument("--easi-g", choices=("cubic", "tanh"), default=CLI_EASI_G)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW,
+                   help="centred window of the envelope and innovation indexes")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_detect)
 

@@ -15,11 +15,11 @@ what they are sensitive to:
 * ``kalman_innovation_index`` -- local mean of the normalized innovations of
   a linear state-space model, large where the data leaves the model.
 
-Records are read whole, so the envelope, cumulant and innovation indexes are
-moving means centred on the sample they label (a trailing window reports an
-event half a window late), truncated at the edges, with ``valid_from = 0``.
-AD and AR windows trail: their warm-up samples are zeroed, and the first
-trustworthy sample is ``valid_from``.
+Records are read whole, so every windowed index but AR's is centred on the
+sample it labels (a trailing window reports an event half a window late), with
+``valid_from = 0``: a moving mean over ``[k - w // 2, k - w // 2 + w)``
+truncated at the edges, or for AD the full window nearest to that one. AR
+windows trail: their warm-up is zeroed, and ``valid_from`` is its end.
 """
 
 import math
@@ -53,23 +53,21 @@ __all__ = [
     "kalman_innovation_index",
     "fit_ar1_state_space",
     "normalize_index",
+    "DEFAULT_WINDOW",
     "DEFAULT_AD_WINDOW",
-    "DEFAULT_ENVELOPE_WINDOW",
     "DEFAULT_CUMULANT_WINDOW",
     "DEFAULT_CUMULANT_ORDER",
     "DEFAULT_AR_WINDOW",
     "DEFAULT_AR_ORDER",
-    "DEFAULT_WHITENESS_WINDOW",
     "DEFAULT_EASI_STEP",
 ]
 
+DEFAULT_WINDOW = 256
 DEFAULT_AD_WINDOW = 64
-DEFAULT_ENVELOPE_WINDOW = 101
 DEFAULT_CUMULANT_WINDOW = 512
 DEFAULT_CUMULANT_ORDER = 2
 DEFAULT_AR_WINDOW = 512
 DEFAULT_AR_ORDER = 4
-DEFAULT_WHITENESS_WINDOW = 256
 DEFAULT_EASI_STEP = 0.01
 
 EASI_DIVERGENCE_CAP = 1e6
@@ -85,6 +83,14 @@ def _as_series(series):
     if not np.isfinite(x).all():
         raise ValueError("series contains non-finite samples")
     return x
+
+
+def _window(window, T):
+    """``window`` as an int; InvalidWindow unless ``1 <= window <= T``."""
+    w = as_int(window, "window")
+    if not 1 <= w <= T:
+        raise InvalidWindow(f"window {w} outside [1, {T}]")
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +141,7 @@ def fit_gaussian_cdf(series):
 def anderson_darling_index(series, window=DEFAULT_AD_WINDOW, cdf=None):
     """Sliding-window Anderson-Darling statistic against a fitted Gaussian.
 
-    For each trailing window of length ``p`` the samples are sorted and
+    For each window of length ``p`` the samples are sorted and
 
         A^2 = -p - (1/p) * sum_{i=1..p} (2i - 1) *
               [ln F(z_(i)) + ln(1 - F(z_(p+1-i)))]
@@ -147,7 +153,8 @@ def anderson_darling_index(series, window=DEFAULT_AD_WINDOW, cdf=None):
     series, which gives the same values, and the same sums to the last bit,
     as sorting the window and taking ``F`` and the logs there. The windows
     run in blocks of about ``_kernels._AD_BLOCK_ELEMS`` samples, so working
-    memory does not grow with ``len(series) * p``.
+    memory does not grow with ``len(series) * p``. Value ``k`` is the
+    statistic of the full window nearest to ``[k - p // 2, k - p // 2 + p)``.
 
     Parameters
     ----------
@@ -161,20 +168,20 @@ def anderson_darling_index(series, window=DEFAULT_AD_WINDOW, cdf=None):
     Returns
     -------
     IndexSeries
-        ``valid_from = p - 1``.
+        ``valid_from = 0``.
     """
     x = _as_series(series)
-    p = as_int(window, "window")
-    if not 1 <= p <= x.size:
-        raise InvalidWindow(f"window {p} outside [1, {x.size}]")
+    p = _window(window, x.size)
     if cdf is None:
         cdf = fit_gaussian_cdf(x)
     elif not isinstance(cdf, FittedCdf):
         raise TypeError("anderson_darling_index expects a FittedCdf")
-    values = _kernels.ad_sliding(x, p, cdf.mean, cdf.std, CDF_CLAMP)
+    # the kernel's value j >= p - 1 is the window ending at j
+    trailing = _kernels.ad_sliding(x, p, cdf.mean, cdf.std, CDF_CLAMP)[p - 1:]
+    values = trailing[np.clip(np.arange(x.size) - p // 2, 0, x.size - p)]
     return IndexSeries(
         values,
-        valid_from=p - 1,
+        valid_from=0,
         name="anderson_darling",
         meta={"window": p, "mean": cdf.mean, "std": cdf.std},
     )
@@ -194,17 +201,15 @@ def _centred_mean(x, w):
     return (s[hi] - s[lo]) / (hi - lo)
 
 
-def energy_envelope(series, window=DEFAULT_ENVELOPE_WINDOW):
-    """Centered moving average of squared samples, truncated at the edges.
+def energy_envelope(series, window=DEFAULT_WINDOW):
+    """Centred moving average of squared samples, truncated at the edges.
 
-    ``window`` must be odd so the average is symmetric. Every output is a
-    mean of squares, hence nonnegative, and scaling the series by ``a``
-    scales the envelope by ``a**2``. ``valid_from = 0``.
+    ``1 <= window <= len(series)``. Every output is a mean of squares, hence
+    nonnegative, and scaling the series by ``a`` scales the envelope by
+    ``a**2``. ``valid_from = 0``.
     """
     x = _as_series(series)
-    w = as_int(window, "window")
-    if w < 1 or w % 2 == 0 or w > x.size:
-        raise InvalidWindow(f"window must be odd, in [1, {x.size}]; got {w}")
+    w = _window(window, x.size)
     values = _centred_mean(x * x, w)
     return IndexSeries(values, valid_from=0, name="energy_envelope", meta={"window": w})
 
@@ -215,12 +220,10 @@ def cumulant_tracking(series, window=DEFAULT_CUMULANT_WINDOW, order=DEFAULT_CUMU
     order 1: |mean|; order 2: biased variance. ``valid_from = 0``.
     """
     x = _as_series(series)
-    w = as_int(window, "window")
+    w = _window(window, x.size)
     order = as_int(order, "order")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    if not 1 <= w <= x.size:
-        raise InvalidWindow(f"window {w} outside [1, {x.size}]")
     mu = _centred_mean(x, w)
     core = mu if order == 1 else _centred_mean(x * x, w) - mu * mu
     return IndexSeries(
@@ -436,18 +439,17 @@ def normalized_innovations(record, model):
     return e
 
 
-def kalman_innovation_index(record, model, window=DEFAULT_WHITENESS_WINDOW):
+def kalman_innovation_index(record, model, window=DEFAULT_WINDOW):
     """Innovation index: local mean of the normalized innovations.
 
     The centred, edge-truncated moving mean of the model's normalized
     squared innovations ``e`` (:func:`normalized_innovations`) over
-    ``window`` samples: near ``obs_dim`` where the record follows the model,
-    higher where the data leaves it. ``valid_from = 0``.
+    ``window`` samples (``1 <= window <= record.length``): near ``obs_dim``
+    where the record follows the model, higher where the data leaves it.
+    ``valid_from = 0``.
     """
     record = as_record(record)
-    w = as_int(window, "window")
-    if not 2 <= w <= record.length:
-        raise InvalidWindow(f"window {w} outside [2, {record.length}]")
+    w = _window(window, record.length)
     values = _centred_mean(normalized_innovations(record, model), w)
     return IndexSeries(values, valid_from=0, name="innovation", meta={"window": w})
 

@@ -20,8 +20,8 @@ Formats:
 
 * record    -- header ``ch1,...,chn``; one row per sample, one column per
                channel.
-* index     -- header ``k,value``; the warm-up convention (``valid_from``)
-               is not stored, a reread series starts at 0.
+* index     -- header ``k,value``; ``valid_from`` is not stored, a reread
+               series starts at 0, as every index ``nsca detect`` writes does.
 * mask      -- header ``k,label`` with integer labels below max(2, rows).
 * matrix    -- no header; one row per matrix row.
 * spectra   -- header ``class,component,value``; one row per entry.

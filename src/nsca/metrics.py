@@ -27,14 +27,14 @@ class EvalReport:
 
 def _abs_corr_matrix(A, B):
     """|Pearson correlation| between rows of A and rows of B."""
-    Ac = A - A.mean(axis=1, keepdims=True)
-    Bc = B - B.mean(axis=1, keepdims=True)
-    na = np.linalg.norm(Ac, axis=1)
-    nb = np.linalg.norm(Bc, axis=1)
-    na = np.where(na > 0, na, 1.0)
-    nb = np.where(nb > 0, nb, 1.0)
-    C = np.abs((Ac / na[:, None]) @ (Bc / nb[:, None]).T)
-    return np.clip(C, 0.0, 1.0)
+    def unit_rows(X):
+        # an exact power of two brings each row's peak to [0.5, 1), so its
+        # sums stay in range and no correlation changes
+        X = np.ldexp(X, -np.frexp(np.abs(X).max(axis=1, keepdims=True))[1])
+        X = X - X.mean(axis=1, keepdims=True)
+        norm = np.linalg.norm(X, axis=1, keepdims=True)
+        return X / np.where(norm > 0, norm, 1.0)
+    return np.clip(np.abs(unit_rows(A) @ unit_rows(B).T), 0.0, 1.0)
 
 
 def eval_separation(est, truth):

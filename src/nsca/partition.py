@@ -119,7 +119,8 @@ def threshold_mask(idx, theta_rel=0.5, min_event_len=1):
     if ones == 0:
         raise EmptyClass("no samples reach the threshold after erosion")
     if ones == labels.size:
-        raise EmptyClass("every sample reaches the threshold; raise theta_rel")
+        raise EmptyClass("the index is constant over its valid range; no theta_rel splits it"
+                         if hi == lo else "every sample reaches the threshold; raise theta_rel")
     return Partition(labels, K=2)
 
 

@@ -15,7 +15,7 @@ import nsca.cli
 import nsca.errors
 import nsca.io
 from nsca.cli import main
-from nsca.detectors import normalize_index
+from nsca.detectors import anderson_darling_index, normalize_index
 from nsca.errors import MalformedInput
 from nsca.io import (
     read_index,
@@ -29,7 +29,7 @@ from nsca.io import (
     write_record,
     write_spectra,
 )
-from nsca.partition import Partition
+from nsca.partition import Partition, threshold_mask
 from nsca.records import IndexSeries, Record
 
 
@@ -577,8 +577,7 @@ class TestCliDetect:
 
     def test_writes_indexes_and_summary(self, synth_dir, tmp_path, capsys):
         code = run(["detect", "--record", synth_dir / "record.csv",
-                    "--detectors", "envelope,innovation",
-                    "--envelope-window", 151, "--whiteness-window", 128,
+                    "--detectors", "envelope,innovation", "--window", 128,
                     "--out-dir", tmp_path])
         assert code == 0
         out = capsys.readouterr().out
@@ -591,9 +590,11 @@ class TestCliDetect:
 
     def test_unknown_detector_is_usage_error(self, synth_dir, tmp_path, capsys):
         # an unknown or a repeated name stops the run before any detector;
-        # `ar_tracking` is library-only, since it scores at chance
+        # `ar_tracking` is library-only, since it scores at chance, and
+        # `cumulant_tracking`, since the envelope dominates it
         for detectors, error in [("wavelet", "unknown detectors: wavelet"),
                                  ("ar", "unknown detectors: ar"),
+                                 ("cumulant", "unknown detectors: cumulant"),
                                  ("innovation,ad,innovation", "repeated detectors: innovation")]:
             out = tmp_path / detectors
             out.mkdir()
@@ -602,7 +603,12 @@ class TestCliDetect:
             assert f"nsca: {error}" in capsys.readouterr().err.splitlines()
             assert not list(out.iterdir())
 
-    @pytest.mark.parametrize("flag", ["--ar-window 64", "--ar-order 2"])
+    # one --window serves the envelope and the innovation index; AD, EASI and
+    # the fitted model keep their library settings
+    @pytest.mark.parametrize("flag", [
+        "--ar-window 64", "--ar-order 2", "--ad-window 64", "--envelope-window 151",
+        "--whiteness-window 128", "--cumulant-window 512", "--cumulant-order 3",
+        "--easi-step -1", "--easi-g tanh", "--obs-noise-frac nan"])
     def test_ar_flags_are_gone(self, flag, synth_dir, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(["detect", "--record", synth_dir / "record.csv", *flag.split(),
@@ -632,16 +638,40 @@ class TestCliDetect:
         assert {flags.get(name, name) for name in reads.names} == set(flags.values()) - {
             "--record", "--detectors", "--ref-channel", "--out-dir"}
 
+    def test_index_csvs_read_back_as_computed(self, synth_dir, tmp_path):
+        # no index detect writes has a warm-up, so one read back from CSV has
+        # the same values and theta labels; AD's zeroed warm-up used to become
+        # the floor theta is measured from
+        record = read_record(synth_dir / "record.csv")
+        assert run(["detect", "--record", synth_dir / "record.csv",
+                    "--detectors", ",".join(nsca.cli.DETECTORS), "--out-dir", tmp_path]) == 0
+        ad = anderson_darling_index(record.channel(0))
+        assert np.array_equal(threshold_mask(read_index(tmp_path / "ad.csv"), 0.5).labels,
+                              threshold_mask(ad, 0.5).labels)
+        args = nsca.cli._build_parser().parse_args(["detect", "--record", "unused.csv"])
+        for name, detector in nsca.cli.DETECTORS.items():
+            idx = detector(record, record.channel(0), args)
+            back = read_index(tmp_path / f"{name}.csv")
+            assert idx.valid_from == 0 and np.array_equal(back.values, idx.values), name
+            assert np.array_equal(threshold_mask(back, 0.5).labels,
+                                  threshold_mask(idx, 0.5).labels), name
+
     def test_missing_record_file(self, tmp_path):
         assert run(["detect", "--record", tmp_path / "nope.csv", "--out-dir", tmp_path]) == 3
 
-    def test_failing_detector_writes_nothing(self, synth_dir, tmp_path, capsys):
-        # ad and envelope succeed, then EASI diverges at this step size; the
-        # run must not leave the first two detectors' files behind
+    def test_failing_detector_writes_nothing(self, synth_dir, tmp_path, capsys, monkeypatch):
+        # ad and envelope succeed, then EASI diverges; the run must not leave
+        # the first two detectors' files behind
+        ran = []
+
+        def diverge(record, ref, args):
+            ran.append(sorted(p.name for p in tmp_path.iterdir()))
+            raise nsca.errors.Diverged("separator weights left [-1e6, 1e6] at step 3", at=3)
+
+        monkeypatch.setitem(nsca.cli.DETECTORS, "easi", diverge)
         code = run(["detect", "--record", synth_dir / "record.csv",
-                    "--detectors", "ad,envelope,easi", "--easi-step", 10,
-                    "--out-dir", tmp_path])
-        assert code == 4
+                    "--detectors", "ad,envelope,easi", "--out-dir", tmp_path])
+        assert code == 4 and ran == [[]]
         assert not list(tmp_path.iterdir())
         assert capsys.readouterr().out == ""
 
@@ -701,7 +731,7 @@ class TestCliSeparate:
         d = tmp_path / "det"
         d.mkdir()
         assert run(["detect", "--record", synth_dir / "record.csv", "--detectors", "envelope",
-                    "--envelope-window", 151, "--out-dir", d]) == 0
+                    "--window", 151, "--out-dir", d]) == 0
         code = run(["separate", "--record", synth_dir / "record.csv",
                     "--index", d / "envelope.csv", "--quantiles", 3, "--out-dir", tmp_path])
         assert code == 0
@@ -714,7 +744,7 @@ class TestCliSeparate:
         d = tmp_path / "det"
         d.mkdir()
         assert run(["detect", "--record", synth_dir / "record.csv", "--detectors", "envelope",
-                    "--envelope-window", 151, "--out-dir", d]) == 0
+                    "--window", 151, "--out-dir", d]) == 0
         # a constant index cannot split: every sample reaches 100% of peak
         idx = read_index(d / "envelope.csv")
         write_index(d / "flat.csv", IndexSeries(np.ones(idx.length), 0, "flat"))
@@ -784,6 +814,21 @@ class TestCliSeparate:
 
 
 class TestCliEval:
+    def test_overflowing_estimate_still_correlates(self, tmp_path, capsys):
+        # the squares of these estimates overflow float64; eval once printed
+        # every correlation as 0 and exited 0
+        truth = Record(np.random.default_rng(8).normal(size=(3, 1000)))
+        write_record(tmp_path / "truth.csv", truth)
+        write_record(tmp_path / "est.csv", Record(1e300 * truth.samples[::-1]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["eval", "--est", tmp_path / "est.csv",
+                        "--truth", tmp_path / "truth.csv"]) == 0
+        assert not caught
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                if line.startswith("corr_")]
+        assert len(rows) == 3 and all(float(v) >= 1.0 - 1e-12 for _, v in rows)
+
     def test_source_table_and_metrics(self, synth_dir, tmp_path, capsys):
         sep = tmp_path / "sep"
         sep.mkdir()
@@ -808,7 +853,7 @@ class TestCliEval:
         d = tmp_path / "det"
         d.mkdir()
         assert run(["detect", "--record", synth_dir / "record.csv", "--detectors", "envelope",
-                    "--envelope-window", 151, "--out-dir", d]) == 0
+                    "--window", 151, "--out-dir", d]) == 0
         code = run(["eval", "--est", synth_dir / "sources.csv",
                     "--truth", synth_dir / "sources.csv",
                     "--index", d / "envelope.csv",
@@ -843,7 +888,7 @@ class TestCliEval:
 def envelope_csv(synth_dir, tmp_path_factory):
     d = tmp_path_factory.mktemp("envelope")
     assert run(["detect", "--record", synth_dir / "record.csv", "--detectors", "envelope",
-                "--envelope-window", 151, "--out-dir", d]) == 0
+                "--window", 151, "--out-dir", d]) == 0
     return d / "envelope.csv"
 
 
@@ -859,16 +904,9 @@ class TestCliExitCodes:
         "nan-reg-eps": "separate --record {record} --mask {mask} --reg-eps nan",
         "inf-reg-eps": "separate --record {record} --mask {mask} --reg-eps inf",
         "huge-reg-eps": "separate --record {record} --index {index} --quantiles 3 --reg-eps 1e308",
-        "negative-easi-step": "detect --record {record} --detectors easi --easi-step -1",
-        "inf-easi-step": "detect --record {record} --detectors easi --easi-step inf",
-        "negative-obs-noise-frac":
-            "detect --record {record} --detectors innovation --obs-noise-frac -1",
-        "nan-obs-noise-frac":
-            "detect --record {record} --detectors innovation --obs-noise-frac nan",
-        "inf-obs-noise-frac":
-            "detect --record {record} --detectors innovation --obs-noise-frac inf",
-        "cumulant-order-7": "detect --record {record} --detectors cumulant --cumulant-order 7",
-        "cumulant-order-3": "detect --record {record} --detectors cumulant --cumulant-order 3",
+        "window-0": "detect --record {record} --window 0",
+        "negative-window": "detect --record {record} --detectors innovation --window -1",
+        "window-past-record": "detect --record {record} --detectors envelope --window 6001",
         "non-numeric-pole": "synth --n 3 --t 2000 --sources gaussian,ar1:x,gaussian",
         "ecg-rate-inf": "synth --n 2 --t 1000 --sources gaussian,ecg:inf:0.05",
         "ecg-rate-1e300": "synth --n 2 --t 1000 --sources gaussian,ecg:1e300:0.05",
@@ -902,7 +940,7 @@ class TestCliExitCodes:
         "nan-burst-amplitude": "burst parameters out of range",
         "inf-burst-amplitude": "burst parameters out of range",
         "huge-reg-eps": "reg_eps",
-        "cumulant-order-3": "order must be 1 or 2",
+        "window-past-record": "window 6001 outside [1, 6000]",
     }
 
     @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))

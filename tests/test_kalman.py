@@ -152,8 +152,15 @@ class TestModelValidation:
             )
 
     def test_window_bounds(self):
-        with pytest.raises(InvalidWindow):
-            kalman_innovation_index(random_walk(4), random_walk_model(), window=1)
+        rec, model = random_walk(4), random_walk_model()
+        for window in (0, T + 1):
+            with pytest.raises(InvalidWindow):
+                kalman_innovation_index(rec, model, window=window)
+        # a window of one sample is the normalized innovations themselves, up
+        # to the rounding of the running sum the moving mean takes differences of
+        e = normalized_innovations(rec, model)
+        one = kalman_innovation_index(rec, model, window=1)
+        assert np.abs(one.values - e).max() <= 4 * np.finfo(float).eps * e.sum()
 
 
 class TestFittedBackgroundModel:

@@ -39,6 +39,16 @@ class TestEvalSeparation:
         report = eval_separation(truth.sources, truth)
         assert np.allclose(report.matched, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_scales_still_correlate(self, scale):
+        # the squares of 1e300 overflow float64 (and of 1e-300 underflow),
+        # which once scored every matched pair 0
+        S = np.random.default_rng(5).normal(size=(3, 1000))
+        report = eval_separation(Record(scale * S[::-1]), Record(S))
+        assert report.matched.min() >= 1.0 - 1e-12
+        assert sorted((i, j) for i, j, _ in report.pairs) == [(0, 2), (1, 1), (2, 0)]
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             eval_separation(Record(np.ones((2, 50))), Record(np.ones((3, 50))))

@@ -88,7 +88,7 @@ rec, idx = f"{d}/synth/record.csv", f"{d}/detect/innovation.csv"
 for args in (
     f"synth --n 3 --t 4000 --seed 1 --out-dir {d}/synth",
     f"detect --record {rec} --out-dir {d}/detect",
-    f"detect --record {rec} --detectors easi,cumulant --out-dir {d}/detect2",
+    f"detect --record {rec} --detectors easi --out-dir {d}/detect2",
     f"separate --record {rec} --index {idx} --theta 0.5 --out-dir {d}/sep",
     f"separate --record {rec} --index {idx} --quantiles 3 --out-dir {d}/sep3",
     f"separate --record {rec} --two-round --target 0 --out-dir {d}/sep2",

@@ -73,8 +73,10 @@ class TestThresholdMask:
         assert part.labels.tolist() == [0, 1, 0, 1]
 
     def test_constant_index_all_above(self):
-        with pytest.raises(EmptyClass):
-            threshold_mask(series([2.0, 2.0, 2.0]), theta_rel=1.0)
+        # no theta can split a constant index
+        for theta in (0.5, 1.0):
+            with pytest.raises(EmptyClass, match="the index is constant over its valid range"):
+                threshold_mask(series([2.0, 2.0, 2.0]), theta_rel=theta)
 
     def test_erosion_removes_short_events(self):
         idx = series([0.0, 10.0, 0.0, 10.0, 10.0, 10.0, 0.0])
