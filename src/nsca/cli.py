@@ -22,8 +22,9 @@ The scalar detectors (distribution, envelope) read the designated reference
 channel; the adaptive-separation index consumes the prewhitened record and
 the innovation index runs a state-space model fitted to the full record.
 Every index ``detect`` writes is centred, with no warm-up. ``--window`` sets
-the envelope and innovation windows; AD keeps its own. ``detect`` runs
-``ad``, ``envelope`` and ``innovation`` by default, ``easi`` when named.
+the envelope and innovation windows, and a run of neither rejects it; AD
+keeps its own. ``detect`` runs ``ad``, ``envelope`` and ``innovation`` by
+default, ``easi`` when named.
 ``separate --theta t`` labels the samples at least ``t`` of the way from the
 index's minimum to its maximum as events.
 """
@@ -135,14 +136,16 @@ def cmd_synth(args):
 # Each detector, called with the record, its reference channel and the flags;
 # AD keeps its short library window, as its kernel costs O(T * window). The
 # lambdas look the detector functions up when they run, so rebinding a module
-# name (as a tracer does) reaches the call.
+# name (as a tracer does) reaches the call. A left-out --window (None) leaves
+# the library default; WINDOWED names the detectors that read it.
 DETECTORS = {
     "ad": lambda record, ref, args: anderson_darling_index(ref),
-    "envelope": lambda record, ref, args: energy_envelope(ref, args.window),
+    "envelope": lambda record, ref, args: energy_envelope(ref, **_given(window=args.window)),
     "easi": lambda record, ref, args: easi_index(prewhiten(record), CLI_EASI_STEP, CLI_EASI_G),
     "innovation": lambda record, ref, args: kalman_innovation_index(
-        record, fit_ar1_state_space(record), args.window),
+        record, fit_ar1_state_space(record), **_given(window=args.window)),
 }
+WINDOWED = ("envelope", "innovation")
 
 
 def _read_record(path):
@@ -168,6 +171,8 @@ def cmd_detect(args):
         raise BadSpec(f"repeated detectors: {', '.join(repeated)}")
     if not names:
         raise BadSpec("no detectors selected")
+    if args.window is not None and not set(names) & set(WINDOWED):
+        raise BadSpec(f"--window is read only by {' and '.join(WINDOWED)}")
     if not 0 <= args.ref_channel < record.channels:
         raise BadChannel(f"reference channel {args.ref_channel} out of range")
     ref = record.channel(args.ref_channel)
@@ -313,8 +318,8 @@ def _build_parser():
     p.add_argument("--record", required=True)
     p.add_argument("--detectors", default=",".join(DEFAULT_DETECTORS))
     p.add_argument("--ref-channel", type=int, default=0)
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW,
-                   help="centred window of the envelope and innovation indexes")
+    p.add_argument("--window", type=int,
+                   help=f"envelope and innovation window (default {DEFAULT_WINDOW})")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_detect)
 

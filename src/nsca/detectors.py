@@ -193,12 +193,20 @@ def anderson_darling_index(series, window=DEFAULT_AD_WINDOW, cdf=None):
 
 def _centred_mean(x, w):
     """Per ``k``, the mean of ``x`` over ``[k - w // 2, k - w // 2 + w)`` clipped
-    to ``[0, T)``, from one running sum: rounding grows with ``T * max|x|``."""
-    s = np.zeros(x.size + 1)
+    to ``[0, T)``, from one running sum: rounding grows with ``T * max|x|``.
+
+    The ``T - w + 1`` whole windows are the difference of two slices of the
+    running sum divided by ``w``; only the ``w - 1`` clipped edge samples
+    gather their bounds."""
+    T, h = x.size, w // 2
+    s = np.zeros(T + 1)
     np.cumsum(x, out=s[1:])
-    start = np.arange(x.size) - w // 2
-    lo, hi = np.maximum(start, 0), np.minimum(start + w, x.size)
-    return (s[hi] - s[lo]) / (hi - lo)
+    out = np.empty(T)
+    out[h:T - w + 1 + h] = (s[w:] - s[:T - w + 1]) / w
+    edges = np.r_[0:h, T - w + 1 + h:T]
+    lo, hi = np.maximum(edges - h, 0), np.minimum(edges - h + w, T)
+    out[edges] = (s[hi] - s[lo]) / (hi - lo)
+    return out
 
 
 def energy_envelope(series, window=DEFAULT_WINDOW):
@@ -246,7 +254,7 @@ def prewhiten(record, reg_eps=0.0):
     """
     record = as_record(record)
     L = _whitening_factor(sample_cov(record.samples)[0], reg_eps)
-    return Record(_kernels.solve_lower(L, record.samples), record.sample_rate_hz)
+    return Record._wrap(_kernels.solve_lower(L, record.samples), record.sample_rate_hz)
 
 
 def easi_index(record, step=DEFAULT_EASI_STEP, nonlinearity="cubic"):

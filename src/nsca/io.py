@@ -213,7 +213,7 @@ def write_record(path, record):
 
 def read_record(path, sample_rate_hz=1.0):
     names, table = _read_table(path, True)
-    return Record(table.T, sample_rate_hz, names)
+    return Record._wrap(table.T, sample_rate_hz, names)
 
 
 def write_index(path, idx):

@@ -78,7 +78,7 @@ class SymMatrix:
     def __init__(self, entries):
         if np.iscomplexobj(entries):
             raise ValueError("SymMatrix entries must be real, not complex")
-        a = np.array(entries, dtype=np.float64)
+        a = np.asarray(entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ShapeMismatch("SymMatrix requires a square 2-D array")
         if not np.isfinite(a).all():

@@ -9,10 +9,11 @@ quantiles. No null distribution enters either rule: the paper's level-alpha
 hypothesis test is still open (ROADMAP item 2).
 
 ``class_covariances`` sorts the record's columns by label once, so that each
-class is one contiguous run of columns, and runs ``linalg.sample_cov`` on each
-run. The total covariance is not a second pass over the record: it comes from
-the within/between scatter decomposition of the class results, so its bits
-differ from ``sample_cov`` of the whole record at rounding level.
+class is one contiguous run of columns, and centres each run of that private
+copy in place before forming its covariance. The total covariance is not a
+second pass over the record: it comes from the within/between scatter
+decomposition of the class results, so its bits differ from ``sample_cov`` of
+the whole record at rounding level.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .errors import (
     EmptyClass,
     ShapeMismatch,
 )
-from .linalg import SymMatrix, sample_cov
+from .linalg import SymMatrix
 from .records import IndexSeries, as_int, as_record
 
 __all__ = [
@@ -99,8 +100,9 @@ def threshold_mask(idx, theta_rel=0.5, min_event_len=1):
     Raises
     ------
     EmptyClass
-        If either class ends up empty; the caller must adjust ``theta_rel``
-        or ``min_event_len``.
+        If no sample, or every valid sample, ends up labelled 1 (warm-up
+        samples do not count as a class); the caller must adjust
+        ``theta_rel`` or ``min_event_len``.
     """
     if not isinstance(idx, IndexSeries):
         raise TypeError("threshold_mask expects an IndexSeries")
@@ -118,7 +120,7 @@ def threshold_mask(idx, theta_rel=0.5, min_event_len=1):
     ones = int(labels.sum())
     if ones == 0:
         raise EmptyClass("no samples reach the threshold after erosion")
-    if ones == labels.size:
+    if ones == valid.size:
         raise EmptyClass("the index is constant over its valid range; no theta_rel splits it"
                          if hi == lo else "every sample reaches the threshold; raise theta_rel")
     return Partition(labels, K=2)
@@ -169,9 +171,11 @@ def class_covariances(record, part):
     of freedom.
 
     The record is gathered once, in stable label order, so class ``i`` is a
-    contiguous run of columns holding ``X[:, labels == i]`` in record order;
-    ``sample_cov`` of that run gives ``C_i`` and ``m_i``. The totals come from
-    the scatter decomposition, with ``d_i = m_i - m_x``::
+    contiguous run of columns holding ``X[:, labels == i]`` in record order.
+    Each run is centred in place on its mean ``m_i`` and gives
+    ``C_i = X_i X_i^T / (|P_i| - 1)``, the bits ``sample_cov`` of the run
+    gives, without a second record-sized array. The totals come from the
+    scatter decomposition, with ``d_i = m_i - m_x``::
 
         m_x = sum |P_i| m_i / T
         (T - 1) C_x = sum (|P_i| - 1) C_i + sum |P_i| d_i d_i^T
@@ -199,16 +203,20 @@ def class_covariances(record, part):
             )
     T = record.length
     counts = part.class_counts
-    # class i is the run of columns ends[i] - counts[i] : ends[i]
+    # class i is the run of columns e - c : e, for its count c and cumulative count e
     Y = record.samples.take(np.argsort(part.labels, kind="stable"), axis=1)
-    ends = np.cumsum(counts)
-    covs, means = zip(*(sample_cov(Y[:, e - c:e])[:2] for c, e in zip(counts, ends)))
-    means = np.array(means)
+    means = np.empty((part.K, n))
+    covs = []
+    for i, (c, e) in enumerate(zip(counts, np.cumsum(counts))):
+        run = Y[:, e - c:e]
+        means[i] = run.mean(axis=1)
+        run -= means[i, :, None]
+        covs.append(SymMatrix(run @ run.T / (c - 1)))
     total_mean = counts @ means / T
     d = means - total_mean
     scatter = sum((c - 1) * C.entries for c, C in zip(counts, covs)) + (counts * d.T) @ d
     return CovarianceSet(
-        covs=covs,
+        covs=tuple(covs),
         means=means,
         weights=counts / T,
         counts=counts.copy(),

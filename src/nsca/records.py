@@ -11,6 +11,10 @@ __all__ = ["Record", "IndexSeries"]
 class Record:
     """A multichannel time series, stored channels-by-samples.
 
+    The stored samples are read-only. ``Record(...)`` copies its input, so a
+    caller's array stays writeable and later writes to it leave the record
+    unchanged; the package wraps arrays it has just computed without a copy.
+
     Parameters
     ----------
     samples : array_like, shape (n_channels, n_samples)
@@ -27,7 +31,16 @@ class Record:
     def __init__(self, samples, sample_rate_hz=1.0, channel_names=None):
         if np.iscomplexobj(samples):
             raise ValueError("record samples must be real, not complex")
-        a = np.array(samples, dtype=np.float64)
+        self._freeze(np.array(samples, dtype=np.float64), sample_rate_hz, channel_names)
+
+    @classmethod
+    def _wrap(cls, samples, sample_rate_hz, channel_names=None):
+        """Record of a real array the package has just computed, frozen without a copy."""
+        record = cls.__new__(cls)
+        record._freeze(np.asarray(samples, dtype=np.float64), sample_rate_hz, channel_names)
+        return record
+
+    def _freeze(self, a, sample_rate_hz, channel_names):
         if a.ndim == 1:
             a = a.reshape(1, -1)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
@@ -40,7 +53,7 @@ class Record:
             warnings.warn(
                 "record has more channels than samples; covariance estimates "
                 "will be rank deficient",
-                stacklevel=2,
+                stacklevel=3,
             )
         if channel_names is None:
             channel_names = [f"ch{i + 1}" for i in range(a.shape[0])]

@@ -67,7 +67,7 @@ def apply_separation(W, record):
         raise ShapeMismatch(f"demixer must be ({n}, {n}), got {W.shape}")
     sources = W.T @ record.samples
     names = [f"y{i + 1}" for i in range(n)]
-    return Record(sources, record.sample_rate_hz, names)
+    return Record._wrap(sources, record.sample_rate_hz, names)
 
 
 def _result(record, covset, W, order, **diagnostics):

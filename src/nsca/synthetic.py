@@ -226,9 +226,9 @@ def gen_mixture(n, T, burst, source_specs=None, seed=0, sample_rate_hz=500.0, mi
             if abs(np.linalg.det(A)) >= DET_FLOOR:
                 break
 
-    record = Record(A @ S, sample_rate_hz)
+    record = Record._wrap(A @ S, sample_rate_hz)
     truth = GroundTruth(
-        sources=Record(S, sample_rate_hz, [f"s{i + 1}" for i in range(n)]),
+        sources=Record._wrap(S, sample_rate_hz, [f"s{i + 1}" for i in range(n)]),
         mixing=A,
         burst_mask=Partition(indicator.astype(np.int64), K=2),
         seed=int(seed),

@@ -197,6 +197,15 @@ class TestCumulantTracking:
             cumulant_tracking(np.ones(100), window=16, order=3)
 
 
+def gathered_mean(x, w):
+    """The clipped-window means gathered from the running sum at every sample."""
+    s = np.zeros(x.size + 1)
+    np.cumsum(x, out=s[1:])
+    start = np.arange(x.size) - w // 2
+    lo, hi = np.maximum(start, 0), np.minimum(start + w, x.size)
+    return (s[hi] - s[lo]) / (hi - lo)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data(), st.integers(1, 300))
 def test_centred_mean_matches_clipped_window_loop(data, T):
@@ -210,6 +219,10 @@ def test_centred_mean_matches_clipped_window_loop(data, T):
     got = _centred_mean(x, w)
     eps = np.finfo(float).eps
     assert np.all(np.abs(got - ref) <= 4 * eps * T * np.abs(x).max() + 4 * eps * np.abs(ref))
+    # the whole windows, taken as slices, keep the gathered bits: odd and even
+    # windows, and the extremes 1 and T
+    for v in {v for v in (1, 2, 3, w, T - 1, T) if 1 <= v <= T}:
+        assert _centred_mean(x, v).tobytes() == gathered_mean(x, v).tobytes()
 
 
 class TestEasi:
@@ -398,6 +411,14 @@ def test_record_needs_positive_finite_sample_rate(rate):
     # True would run as a rate of 1.0
     with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
         Record(np.zeros((1, 4)), rate)
+
+
+def test_record_copies_a_caller_array():
+    x = np.arange(8.0).reshape(2, 4)
+    rec = Record(x)
+    assert x.flags.writeable and not rec.samples.flags.writeable
+    x[0, 0] = 99.0
+    assert rec.samples[0, 0] == 0.0
 
 
 REAL_INPUTS = {

@@ -624,19 +624,25 @@ class TestCliDetect:
         defaults = parser.parse_args(["detect", "--record", "unused.csv"])
 
         class Reads:
-            names = set()
+            def __init__(self):
+                self.names = set()
 
             def __getattr__(self, name):
                 self.names.add(name)
                 return getattr(defaults, name)
 
-        reads = Reads()
         record = read_record(synth_dir / "record.csv")
-        for detector in nsca.cli.DETECTORS.values():
-            detector(record, record.channel(0), reads)
+        reads = {}
+        for name, detector in nsca.cli.DETECTORS.items():
+            reads[name] = Reads()
+            detector(record, record.channel(0), reads[name])
         flags = {a.dest: a.option_strings[0] for a in detect._actions if a.dest != "help"}
-        assert {flags.get(name, name) for name in reads.names} == set(flags.values()) - {
+        read = set().union(*(r.names for r in reads.values()))
+        assert {flags.get(name, name) for name in read} == set(flags.values()) - {
             "--record", "--detectors", "--ref-channel", "--out-dir"}
+        # detect rejects a --window that no selected detector reads
+        assert {name for name, r in reads.items() if "window" in r.names} == set(
+            nsca.cli.WINDOWED)
 
     def test_index_csvs_read_back_as_computed(self, synth_dir, tmp_path):
         # no index detect writes has a warm-up, so one read back from CSV has
@@ -907,6 +913,8 @@ class TestCliExitCodes:
         "window-0": "detect --record {record} --window 0",
         "negative-window": "detect --record {record} --detectors innovation --window -1",
         "window-past-record": "detect --record {record} --detectors envelope --window 6001",
+        # neither ad nor easi reads --window; it is rejected before any detector runs
+        "window-read-by-no-detector": "detect --record {record} --detectors ad,easi --window 0",
         "non-numeric-pole": "synth --n 3 --t 2000 --sources gaussian,ar1:x,gaussian",
         "ecg-rate-inf": "synth --n 2 --t 1000 --sources gaussian,ecg:inf:0.05",
         "ecg-rate-1e300": "synth --n 2 --t 1000 --sources gaussian,ecg:1e300:0.05",
@@ -941,6 +949,7 @@ class TestCliExitCodes:
         "inf-burst-amplitude": "burst parameters out of range",
         "huge-reg-eps": "reg_eps",
         "window-past-record": "window 6001 outside [1, 6000]",
+        "window-read-by-no-detector": "--window is read only by envelope and innovation",
     }
 
     @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))

@@ -1,5 +1,7 @@
 """Separation engine tests: two-class GEVD, multi-class AJD, targeting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,3 +356,29 @@ class TestApplySeparation:
         rec = Record(np.ones((3, 10)))
         with pytest.raises(ShapeMismatch):
             apply_separation(np.eye(2), rec)
+
+    def test_peak_memory(self):
+        # the projected sources, frozen without a copy
+        rng = np.random.default_rng(22)
+        rec = Record(rng.normal(size=(5, 100_000)))
+        W = rng.normal(size=(5, 5))
+        apply_separation(W, rec)
+        tracemalloc.start()
+        try:
+            apply_separation(W, rec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * rec.samples.nbytes
+
+    @pytest.mark.parametrize("engine", ["two_class", "multi_class", "two_round"])
+    def test_engine_sources_are_frozen_projections(self, engine):
+        rec, _, part, _ = burst_mixture(23)
+        result = {
+            "two_class": lambda: nsca_two_class(rec, part),
+            "multi_class": lambda: nsca_multi_class(rec, part),
+            "two_round": lambda: two_round_targeted(rec, range(1, 6), 0),
+        }[engine]()
+        sources = result.sources.samples
+        assert not sources.flags.writeable
+        assert sources.tobytes() == (result.demixer.T @ rec.samples).tobytes()
