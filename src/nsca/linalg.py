@@ -22,8 +22,8 @@ against the row loop's 2.2 ms at n=5.
 The package's sample covariance (``sample_cov``), ridged whitening factor and
 ``L^{-1} C L^{-T}`` congruence each have their one implementation here; the
 congruence whitens a whole set with one pair of triangular solves.
-``partition.class_covariances`` runs ``sample_cov`` once per class and builds
-the total covariance from those results, not from an estimator of its own.
+``partition.class_covariances`` centres each class of a label-sorted copy in
+place with ``sample_cov``'s arithmetic and builds the total from those results.
 """
 
 from dataclasses import dataclass

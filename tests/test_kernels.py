@@ -136,9 +136,11 @@ class TestAdBlocks:
         # OpenBLAS's threading threshold at p=128 and p=200 on these lengths,
         # and one-window products above 10000 samples went over it too. The
         # EASI scan's index and final W are hashed too, on prewhitened
-        # generator records, for both nonlinearities.
+        # generator records, for both nonlinearities, and so are the
+        # two-round engine's results, whose lag products sum over fixed blocks.
         code = ("import hashlib, numpy as np; from nsca import _kernels\n"
                 "from nsca.detectors import EASI_DIVERGENCE_CAP, prewhiten\n"
+                "from nsca.separation import two_round_targeted\n"
                 "from nsca.synthetic import DEFAULT_BURST, default_source_specs, gen_mixture\n"
                 "cases = [(seed, 100_000, 64) for seed in range(8)]\n"
                 "cases += [(seed, T, p) for seed in range(3)\n"
@@ -154,7 +156,13 @@ class TestAdBlocks:
                 "    for nonlin in (0, 1):\n"
                 "        idx, W, status, where = _kernels.easi_scan(xt, 1e-4, nonlin, EASI_DIVERGENCE_CAP)\n"
                 "        print(n, nonlin, status, where,\n"
-                "              hashlib.sha256(idx.tobytes() + W.tobytes()).hexdigest())")
+                "              hashlib.sha256(idx.tobytes() + W.tobytes()).hexdigest())\n"
+                "for n, T in ((5, 100_000), (8, 20_000)):\n"
+                "    rec, _ = gen_mixture(n, T, DEFAULT_BURST, default_source_specs(n), seed=n)\n"
+                "    res = two_round_targeted(rec, range(1, 11), 0)\n"
+                "    W1 = res.diagnostics['round1_demixer']\n"
+                "    print(n, T, hashlib.sha256(res.demixer.tobytes() + res.spectra.tobytes()\n"
+                "                               + W1.tobytes()).hexdigest())")
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
                                   stderr=subprocess.PIPE, text=True,

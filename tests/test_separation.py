@@ -14,16 +14,19 @@ from nsca.errors import (
     NotPositiveDefinite,
     ShapeMismatch,
 )
-from nsca.linalg import amari_index, cholesky
+from nsca.linalg import SymMatrix, amari_index, cholesky, sample_cov
 from nsca.partition import Partition, class_covariances
 from nsca.records import Record
 from nsca.separation import (
+    _LAG_BLOCK,
+    _lagged_covariances,
     apply_separation,
     eigenratio_map,
     nsca_multi_class,
     nsca_two_class,
     two_round_targeted,
 )
+from nsca.synthetic import DEFAULT_BURST, default_source_specs, gen_mixture
 
 
 def _corr(a, b):
@@ -326,6 +329,40 @@ class TestTwoRound:
         assert diag["target_component"] == 1
         assert diag["round2_mask_counts"].sum() == rec.length
         assert diag["round1_residual"] >= 0.0
+
+    def test_peak_memory(self):
+        # the centred copy of the record is dropped once the lag products are
+        # formed; held through round 2 the peak was 2.39x the record's bytes
+        rec, _ = gen_mixture(8, 20_000, DEFAULT_BURST, default_source_specs(8), seed=0)
+        two_round_targeted(rec, range(1, 11), 0)
+        tracemalloc.start()
+        try:
+            two_round_targeted(rec, range(1, 11), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * rec.samples.nbytes
+
+
+class TestLaggedCovariances:
+    @pytest.mark.parametrize("T", [_LAG_BLOCK - 1, _LAG_BLOCK, _LAG_BLOCK + 1, 2 * _LAG_BLOCK + 7])
+    def test_matches_direct_product(self, T):
+        # unsorted and repeated lags, and lags past the block where T allows
+        X = sample_cov(np.random.default_rng(T).normal(size=(8, T)))[2]
+        lags = [tau for tau in (1, 10, 3, 3, 9000, T - 3) if tau <= T - 3]
+        got = _lagged_covariances(X, lags)
+        assert len(got) == len(lags)
+        for C, tau in zip(got, lags):
+            A, B = X[:, : T - tau], X[:, tau:]
+            ref = SymMatrix(A @ B.T / (T - tau - 1)).entries
+            if T - tau <= _LAG_BLOCK:
+                # one block: the bits of the single product
+                assert C.entries.tobytes() == ref.tobytes()
+            # blocks change only the summation order, so each entry is within
+            # a rounding bound of its sum of absolute terms
+            P = np.abs(A) @ np.abs(B).T
+            bound = 4 * np.finfo(float).eps * (P + P.T) / 2 / (T - tau - 1)
+            assert (np.abs(C.entries - ref) <= bound).all()
 
 
 class TestApplySeparation:
