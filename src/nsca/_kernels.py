@@ -197,14 +197,15 @@ def normal_cdf(z):
 # of max(1, _AD_BLOCK_ELEMS // p) windows, so working memory is
 # O(T + _AD_BLOCK_ELEMS), not O(T * p). At the default p of 64 a block is
 # 4096 windows. The weighted sums use einsum, which does not call BLAS, so
-# the output does not depend on the BLAS thread count.
+# the output does not depend on the BLAS thread count. Value j is the window
+# [j, j + p), for the T - p + 1 full windows.
 
 _AD_BLOCK_ELEMS = 4096 * 64
 
 
 def ad_sliding(x, p, mu, sigma, fmin):
     T = x.shape[0]
-    out = np.zeros(T)
+    out = np.empty(T - p + 1)
     order = np.argsort(x)
     rank = np.empty(T, np.int32 if T <= np.iinfo(np.int32).max else np.intp)
     rank[order] = np.arange(T)
@@ -219,7 +220,7 @@ def ad_sliding(x, p, mu, sigma, fmin):
     for a in range(0, win.shape[0], block):
         r = np.sort(win[a:a + block], axis=1).astype(np.intp)
         acc = np.einsum("ij,j->i", log_f[r], w_fwd) + np.einsum("ij,j->i", log_sf[r], w_rev)
-        out[p - 1:][a:a + block] = -p - acc / p
+        out[a:a + block] = -p - acc / p
     return out
 
 
@@ -409,15 +410,12 @@ _AR_R0_TOL = 1e-300
 
 
 def ar_sliding(x, w, q):
-    # Per trailing window: demean, biased autocovariances to lag q, then the
-    # Levinson-Durbin recursion. Windows where r0 <= _AR_R0_TOL or the
-    # prediction error hits zero are flagged ok=0 and left as zero rows.
+    # Per window [j, j + w), for the T - w + 1 full windows: demean, biased
+    # autocovariances to lag q, then the Levinson-Durbin recursion. Windows
+    # where r0 <= _AR_R0_TOL or the prediction error hits zero are flagged
+    # ok=0 and left as zero rows.
     T = x.shape[0]
-    coef = np.zeros((T, q))
-    ok_full = np.zeros(T, dtype=np.uint8)
     nwin = T - w + 1
-    if nwin <= 0:
-        return coef, ok_full
     S1 = np.concatenate(([0.0], np.cumsum(x)))
     c = np.empty((q + 1, nwin))
     starts = np.arange(nwin)
@@ -444,6 +442,4 @@ def ar_sliding(x, w, q):
         E = E * (1.0 - kr * kr)
         ok &= E > 0.0
     A[:, ~ok] = 0.0
-    coef[w - 1:] = A.T
-    ok_full[w - 1:] = ok.astype(np.uint8)
-    return coef, ok_full
+    return A.T, ok.astype(np.uint8)

@@ -21,10 +21,10 @@ only once it is completely written.
 The scalar detectors (distribution, envelope) read the designated reference
 channel; the adaptive-separation index consumes the prewhitened record and
 the innovation index runs a state-space model fitted to the full record.
-Every index ``detect`` writes is centred, with no warm-up. ``--window`` sets
-the envelope and innovation windows, and a run of neither rejects it; AD
-keeps its own. ``detect`` runs ``ad``, ``envelope`` and ``innovation`` by
-default, ``easi`` when named.
+Every index ``detect`` writes is centred on the sample it labels.
+``--window`` sets the envelope and innovation windows, and a run of neither
+rejects it; AD keeps its own. ``detect`` runs ``ad``, ``envelope`` and
+``innovation`` by default, ``easi`` when named.
 ``separate --theta t`` labels the samples at least ``t`` of the way from the
 index's minimum to its maximum as events.
 """

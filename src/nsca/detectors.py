@@ -15,11 +15,10 @@ what they are sensitive to:
 * ``kalman_innovation_index`` -- local mean of the normalized innovations of
   a linear state-space model, large where the data leaves the model.
 
-Records are read whole, so every windowed index but AR's is centred on the
-sample it labels (a trailing window reports an event half a window late), with
-``valid_from = 0``: a moving mean over ``[k - w // 2, k - w // 2 + w)``
-truncated at the edges, or for AD the full window nearest to that one. AR
-windows trail: their warm-up is zeroed, and ``valid_from`` is its end.
+Records are read whole, so every windowed index is centred on the sample it
+labels (a trailing window reports an event half a window late): a moving mean
+over ``[k - w // 2, k - w // 2 + w)`` truncated at the edges, or for AD and
+AR the full window nearest to that one.
 """
 
 import math
@@ -164,11 +163,6 @@ def anderson_darling_index(series, window=DEFAULT_AD_WINDOW, cdf=None):
     cdf : FittedCdf, optional
         Reference distribution; fitted to the whole series when omitted.
         Any other type raises ``TypeError``.
-
-    Returns
-    -------
-    IndexSeries
-        ``valid_from = 0``.
     """
     x = _as_series(series)
     p = _window(window, x.size)
@@ -176,12 +170,11 @@ def anderson_darling_index(series, window=DEFAULT_AD_WINDOW, cdf=None):
         cdf = fit_gaussian_cdf(x)
     elif not isinstance(cdf, FittedCdf):
         raise TypeError("anderson_darling_index expects a FittedCdf")
-    # the kernel's value j >= p - 1 is the window ending at j
-    trailing = _kernels.ad_sliding(x, p, cdf.mean, cdf.std, CDF_CLAMP)[p - 1:]
-    values = trailing[np.clip(np.arange(x.size) - p // 2, 0, x.size - p)]
+    # the kernel's value j is the window starting at j
+    windows = _kernels.ad_sliding(x, p, cdf.mean, cdf.std, CDF_CLAMP)
+    values = windows[np.clip(np.arange(x.size) - p // 2, 0, x.size - p)]
     return IndexSeries(
         values,
-        valid_from=0,
         name="anderson_darling",
         meta={"window": p, "mean": cdf.mean, "std": cdf.std},
     )
@@ -214,18 +207,18 @@ def energy_envelope(series, window=DEFAULT_WINDOW):
 
     ``1 <= window <= len(series)``. Every output is a mean of squares, hence
     nonnegative, and scaling the series by ``a`` scales the envelope by
-    ``a**2``. ``valid_from = 0``.
+    ``a**2``.
     """
     x = _as_series(series)
     w = _window(window, x.size)
     values = _centred_mean(x * x, w)
-    return IndexSeries(values, valid_from=0, name="energy_envelope", meta={"window": w})
+    return IndexSeries(values, name="energy_envelope", meta={"window": w})
 
 
 def cumulant_tracking(series, window=DEFAULT_CUMULANT_WINDOW, order=DEFAULT_CUMULANT_ORDER):
     """Magnitude of one sample cumulant over a centred, edge-truncated window.
 
-    order 1: |mean|; order 2: biased variance. ``valid_from = 0``.
+    order 1: |mean|; order 2: biased variance.
     """
     x = _as_series(series)
     w = _window(window, x.size)
@@ -235,7 +228,7 @@ def cumulant_tracking(series, window=DEFAULT_CUMULANT_WINDOW, order=DEFAULT_CUMU
     mu = _centred_mean(x, w)
     core = mu if order == 1 else _centred_mean(x * x, w) - mu * mu
     return IndexSeries(
-        np.abs(core), valid_from=0, name=f"cumulant_{order}", meta={"window": w, "order": order}
+        np.abs(core), name=f"cumulant_{order}", meta={"window": w, "order": order}
     )
 
 
@@ -275,11 +268,6 @@ def easi_index(record, step=DEFAULT_EASI_STEP, nonlinearity="cubic"):
     nonlinearity : {"cubic", "tanh"}
         ``g`` in the update; cubic suits sub-Gaussian sources.
 
-    Returns
-    -------
-    IndexSeries
-        ``valid_from = 0``.
-
     Raises
     ------
     Diverged
@@ -299,7 +287,6 @@ def easi_index(record, step=DEFAULT_EASI_STEP, nonlinearity="cubic"):
         raise Diverged(f"separator weights left [-1e6, 1e6] at step {where}", at=where)
     return IndexSeries(
         values,
-        valid_from=0,
         name="easi",
         meta={"step": float(step), "nonlinearity": nonlinearity},
     )
@@ -310,19 +297,17 @@ def easi_index(record, step=DEFAULT_EASI_STEP, nonlinearity="cubic"):
 # ---------------------------------------------------------------------------
 
 def ar_tracking(series, window=DEFAULT_AR_WINDOW, ar_order=DEFAULT_AR_ORDER):
-    """Drift of trailing-window AR coefficients between offset windows.
+    """Drift of AR coefficients between two windows ``hop`` samples apart.
 
-    Each trailing window of length ``w`` is demeaned, its biased
-    autocovariances are fed through the Levinson-Durbin recursion, and the
-    index is the Euclidean distance between the coefficient vectors at ``k``
-    and ``k - hop`` with ``hop = max(w // 4, 1)``. Windows with (numerically)
-    zero power or a collapsing prediction error cannot be fitted; they emit 0
-    and are counted in ``meta["singular_windows"]``.
-
-    Returns
-    -------
-    IndexSeries
-        ``valid_from = w - 1 + hop``.
+    Each window of length ``w`` is demeaned, its biased autocovariances are
+    fed through the Levinson-Durbin recursion, and the drift of the pair of
+    windows starting at ``s`` and ``s + hop``, with ``hop = max(w // 4, 1)``,
+    is the Euclidean distance between their coefficient vectors. Value ``k``
+    is the drift of the pair spanning ``[s, s + w + hop)`` nearest to
+    centred, ``s = clip(k - (w + hop) // 2, 0, T - w - hop)``. Windows with
+    (numerically) zero power or a collapsing prediction error cannot be
+    fitted; a pair with one of them drifts 0, and they are counted in
+    ``meta["singular_windows"]``.
     """
     x = _as_series(series)
     w = as_int(window, "window")
@@ -331,25 +316,17 @@ def ar_tracking(series, window=DEFAULT_AR_WINDOW, ar_order=DEFAULT_AR_ORDER):
         raise InvalidWindow("ar_order must be >= 1")
     if w < 4 * q:
         raise InvalidWindow(f"window {w} shorter than 4 * ar_order = {4 * q}")
-    if w > x.size:
-        raise InvalidWindow(f"window {w} longer than the series ({x.size})")
     hop = max(w // 4, 1)
-    start = w - 1 + hop
-    if start >= x.size:
-        raise InvalidWindow("series leaves no room for coefficient tracking after warm-up")
-    coef, ok = _kernels.ar_sliding(x, w, q)
     T = x.size
-    values = np.zeros(T)
-    k = np.arange(start, T)
-    both = (ok[k] == 1) & (ok[k - hop] == 1)
-    diff = coef[k] - coef[k - hop]
-    values[k[both]] = np.sqrt(np.sum(diff[both] * diff[both], axis=1))
-    singular = int(np.sum(ok[w - 1:] == 0))
+    if w + hop > T:
+        raise InvalidWindow(f"window {w} plus hop {hop} longer than the series ({T})")
+    coef, ok = _kernels.ar_sliding(x, w, q)
+    diff = coef[hop:] - coef[:-hop]
+    drift = np.where(ok[hop:] & ok[:-hop], np.sqrt(np.sum(diff * diff, axis=1)), 0.0)
     return IndexSeries(
-        values,
-        valid_from=start,
+        drift[np.clip(np.arange(T) - (w + hop) // 2, 0, T - w - hop)],
         name="ar_tracking",
-        meta={"window": w, "order": q, "hop": hop, "singular_windows": singular},
+        meta={"window": w, "order": q, "hop": hop, "singular_windows": int(np.sum(ok == 0))},
     )
 
 
@@ -454,12 +431,11 @@ def kalman_innovation_index(record, model, window=DEFAULT_WINDOW):
     squared innovations ``e`` (:func:`normalized_innovations`) over
     ``window`` samples (``1 <= window <= record.length``): near ``obs_dim``
     where the record follows the model, higher where the data leaves it.
-    ``valid_from = 0``.
     """
     record = as_record(record)
     w = _window(window, record.length)
     values = _centred_mean(normalized_innovations(record, model), w)
-    return IndexSeries(values, valid_from=0, name="innovation", meta={"window": w})
+    return IndexSeries(values, name="innovation", meta={"window": w})
 
 
 def fit_ar1_state_space(record, obs_noise_frac=1e-3):
@@ -505,9 +481,9 @@ def fit_ar1_state_space(record, obs_noise_frac=1e-3):
 # ---------------------------------------------------------------------------
 
 def normalize_index(idx):
-    """Scale an index so its largest valid magnitude is 1 (no-op on all-zero)."""
-    scale = float(np.abs(idx.valid_values()).max())
+    """Scale an index so its largest magnitude is 1 (no-op on all-zero)."""
+    scale = float(np.abs(idx.values).max())
     values = idx.values / scale if scale > 0 else idx.values.copy()
     meta = dict(idx.meta)
     meta["scale"] = scale
-    return IndexSeries(values, valid_from=idx.valid_from, name=idx.name + "_norm", meta=meta)
+    return IndexSeries(values, name=idx.name + "_norm", meta=meta)

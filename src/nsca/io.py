@@ -20,8 +20,7 @@ Formats:
 
 * record    -- header ``ch1,...,chn``; one row per sample, one column per
                channel.
-* index     -- header ``k,value``; ``valid_from`` is not stored, a reread
-               series starts at 0, as every index ``nsca detect`` writes does.
+* index     -- header ``k,value``.
 * mask      -- header ``k,label`` with integer labels below max(2, rows).
 * matrix    -- no header; one row per matrix row.
 * spectra   -- header ``class,component,value``; one row per entry.
@@ -223,7 +222,7 @@ def write_index(path, idx):
 
 def read_index(path):
     _, table = _read_table(path, "k,value", [_K_RUNS])
-    return IndexSeries(table[:, 1], valid_from=0, name="index")
+    return IndexSeries(table[:, 1], name="index")
 
 
 def write_mask(path, part):

@@ -102,13 +102,10 @@ def eval_mask(est, truth):
 def eval_index_auc(idx, truth):
     """Mann-Whitney AUC of an index against true binary labels, ties at 1/2.
 
-    Only samples past the detector's warm-up (``k >= valid_from``) are
-    scored; both labels must appear there.
-
     Raises
     ------
     DegenerateTruth
-        If the scored range has only one label.
+        If the truth has only one label.
     """
     if not isinstance(idx, IndexSeries):
         raise TypeError("eval_index_auc expects an IndexSeries")
@@ -116,13 +113,12 @@ def eval_index_auc(idx, truth):
         raise TypeError("eval_index_auc expects a Partition truth")
     if idx.length != truth.length:
         raise ShapeMismatch("index and truth lengths differ")
-    values = idx.valid_values()
-    labels = truth.labels[idx.valid_from:] == 1
+    labels = truth.labels == 1
     n1 = int(labels.sum())
     n0 = labels.size - n1
     if n1 == 0 or n0 == 0:
-        raise DegenerateTruth("need both labels within the index's valid range")
+        raise DegenerateTruth("need both labels in the truth")
     # each positive wins over the negatives below it and half of those it ties
-    pos, neg = values[labels], np.sort(values[~labels])
+    pos, neg = idx.values[labels], np.sort(idx.values[~labels])
     twice_wins = np.searchsorted(neg, pos, "left") + np.searchsorted(neg, pos, "right")
     return float(twice_wins.sum() / 2 / (n1 * n0))

@@ -3,10 +3,10 @@
 An index series says how nonstationary each sample looks; this module turns
 that into a labeling of the record and estimates the per-class covariance
 structure that the separation engines diagonalize. ``threshold_mask`` labels
-as events the samples ``theta_rel`` of the way from the index's valid minimum
-to its maximum; ``quantile_partition`` cuts the index at its ``j/K``
-quantiles. No null distribution enters either rule: the paper's level-alpha
-hypothesis test is still open (ROADMAP item 2).
+as events the samples ``theta_rel`` of the way from the index's minimum to its
+maximum; ``quantile_partition`` cuts the index at its ``j/K`` quantiles. No
+null distribution enters either rule: the paper's level-alpha hypothesis test
+is still open (ROADMAP item 2).
 
 ``class_covariances`` sorts the record's columns by label once, so that each
 class is one contiguous run of columns, and centres each run of that private
@@ -16,6 +16,7 @@ decomposition of the class results, so its bits differ from ``sample_cov`` of
 the whole record at rounding level.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,21 +89,27 @@ def _erode_short_events(labels, min_event_len):
     return labels
 
 
+def _halving(lo, hi):
+    """0.5 where ``hi - lo`` overflows, else 1.0: a factor that keeps the
+    arithmetic between ``lo`` and ``hi`` finite and, being exact above the
+    subnormal range, moves no bit of a result that was finite."""
+    return 0.5 if math.isinf(float(hi) - float(lo)) else 1.0
+
+
 def threshold_mask(idx, theta_rel=0.5, min_event_len=1):
     """Two-class partition: label 1 where the index reaches a relative level.
 
     The threshold is ``lo + theta_rel * (hi - lo)`` for the index minimum
-    ``lo`` and maximum ``hi`` over its valid range, so the labels of
-    ``a * idx + b`` (``a > 0``) are those of ``idx``. It is compared
-    inclusively: ``theta_rel = 1.0`` selects the argmax samples. Label-1 runs
-    shorter than ``min_event_len`` are erased. Warm-up samples are background.
+    ``lo`` and maximum ``hi``, so the labels of ``a * idx + b`` (``a > 0``)
+    are those of ``idx``. It is compared inclusively: ``theta_rel = 1.0``
+    selects the argmax samples. Label-1 runs shorter than ``min_event_len``
+    are erased.
 
     Raises
     ------
     EmptyClass
-        If no sample, or every valid sample, ends up labelled 1 (warm-up
-        samples do not count as a class); the caller must adjust
-        ``theta_rel`` or ``min_event_len``.
+        If no sample, or every sample, ends up labelled 1; the caller must
+        adjust ``theta_rel`` or ``min_event_len``.
     """
     if not isinstance(idx, IndexSeries):
         raise TypeError("threshold_mask expects an IndexSeries")
@@ -111,17 +118,15 @@ def threshold_mask(idx, theta_rel=0.5, min_event_len=1):
     min_event_len = as_int(min_event_len, "min_event_len")
     if min_event_len < 1:
         raise ValueError("min_event_len must be >= 1")
-    valid = idx.valid_values()
-    lo, hi = valid.min(), valid.max()
-    thr = hi - (1.0 - theta_rel) * (hi - lo)  # exactly hi at theta_rel = 1.0
-    labels = np.zeros(idx.length, dtype=np.int64)
-    labels[idx.valid_from:] = (valid >= thr).astype(np.int64)
-    labels = _erode_short_events(labels, min_event_len)
+    lo, hi = idx.values.min(), idx.values.max()
+    h = _halving(lo, hi)
+    thr = (h * hi - (1.0 - theta_rel) * (h * hi - h * lo)) / h  # hi at theta_rel = 1.0
+    labels = _erode_short_events((idx.values >= thr).astype(np.int64), min_event_len)
     ones = int(labels.sum())
     if ones == 0:
         raise EmptyClass("no samples reach the threshold after erosion")
-    if ones == valid.size:
-        raise EmptyClass("the index is constant over its valid range; no theta_rel splits it"
+    if ones == idx.length:
+        raise EmptyClass("the index is constant; no theta_rel splits it"
                          if hi == lo else "every sample reaches the threshold; raise theta_rel")
     return Partition(labels, K=2)
 
@@ -129,26 +134,24 @@ def threshold_mask(idx, theta_rel=0.5, min_event_len=1):
 def quantile_partition(idx, K):
     """K-class partition at the empirical ``j/K`` quantiles of the index.
 
-    Ties on a boundary fall to the lower bin. Warm-up samples are class 0.
+    Ties on a boundary fall to the lower bin.
 
     Raises
     ------
     DegenerateIndex
-        If the valid range has fewer than K distinct values.
+        If the index has fewer than K distinct values.
     """
     if not isinstance(idx, IndexSeries):
         raise TypeError("quantile_partition expects an IndexSeries")
     K = as_int(K, "K")
     if K < 2:
         raise ValueError("K must be >= 2")
-    valid = idx.valid_values()
-    ordered = np.sort(valid)
+    ordered = np.sort(idx.values)
     if np.count_nonzero(ordered[1:] != ordered[:-1]) + 1 < K:
         raise DegenerateIndex(f"index has fewer than {K} distinct values")
-    cuts = np.quantile(ordered, np.arange(1, K) / K)
-    labels = np.zeros(idx.length, dtype=np.int64)
-    labels[idx.valid_from:] = np.searchsorted(cuts, valid, side="left")
-    return Partition(labels, K=K)
+    h = _halving(ordered[0], ordered[-1])
+    cuts = np.quantile(h * ordered, np.arange(1, K) / K) / h
+    return Partition(np.searchsorted(cuts, idx.values, side="left"), K=K)
 
 
 @dataclass(frozen=True)

@@ -104,15 +104,15 @@ def as_int(value, name):
 class IndexSeries:
     """Per-sample nonstationarity index emitted by a detector.
 
-    ``values[k]`` is meaningful for ``k >= valid_from``; earlier samples fall
-    inside the detector's warm-up and are zeroed by convention. ``meta``
+    ``values[k]`` is the detector's statistic for sample ``k``. ``meta``
     carries detector diagnostics (e.g. skipped-window counts).
     """
 
     values: np.ndarray
-    valid_from: int
     name: str
     meta: dict = field(default_factory=dict)
+
+    valid_from = 0  # the first sample with a value; every index starts at 0
 
     def __post_init__(self):
         if np.iscomplexobj(self.values):
@@ -120,20 +120,11 @@ class IndexSeries:
         v = np.array(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("index values must be a nonempty 1-D array")
-        self.valid_from = as_int(self.valid_from, "valid_from")
-        if not 0 <= self.valid_from < v.size:
-            raise ValueError("valid_from must lie inside the series")
-        if not np.isfinite(v[self.valid_from:]).all():
-            raise ValueError("index has non-finite values past its warm-up")
-        v[: self.valid_from] = 0.0
+        if not np.isfinite(v).all():
+            raise ValueError("index has non-finite values")
         self.values = v
         self.name = str(self.name)
 
     @property
     def length(self):
         return self.values.size
-
-    def valid_values(self):
-        """The slice of values past the warm-up."""
-        return self.values[self.valid_from:]
-

@@ -28,8 +28,8 @@ __all__ = [
 DET_FLOOR = 1e-6
 
 # CLI-facing defaults for the burst layout; chosen so windows hold a dozen
-# pulse-train beats at the default rate and warm-up-laden detectors still see
-# plenty of background between events.
+# pulse-train beats at the default rate and the detectors still see plenty of
+# background between events.
 DEFAULT_BURST = {"count": 3, "min_len": 600, "max_len": 900, "amplitude": 4.0}
 
 # Gating ramp: burst windows switch on/off through a raised-cosine edge this

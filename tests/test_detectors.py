@@ -89,7 +89,7 @@ class TestAndersonDarling:
 
     def test_far_tail_window_is_clamped_finite(self):
         idx = anderson_darling_index(np.full(8, 50.0), window=8, cdf=STD_NORMAL)
-        v = idx.valid_values()
+        v = idx.values
         assert np.isfinite(v).all()
         assert v.max() > 100.0
 
@@ -101,10 +101,10 @@ class TestAndersonDarling:
             b = rng.uniform(-5.0, 5.0)
             base = anderson_darling_index(x, window=32)
             moved = anderson_darling_index(a * x + b, window=32)
-            assert np.abs(moved.valid_values() - base.valid_values()).max() <= 1e-9
+            assert np.abs(moved.values - base.values).max() <= 1e-9
 
-    def test_valid_from_and_warmup_zeros(self):
-        # no warm-up: value k is the statistic of the full window nearest to
+    def test_value_is_the_nearest_full_window(self):
+        # value k is the statistic of the full window nearest to
         # [k - p // 2, k - p // 2 + p), edges included, fitted to the whole series
         x = np.random.default_rng(1).normal(size=64)
         cdf = fit_gaussian_cdf(x)
@@ -113,7 +113,6 @@ class TestAndersonDarling:
             starts = [min(max(k - p // 2, 0), x.size - p) for k in range(x.size)]
             ref = [anderson_darling_index(x[s : s + p], window=p, cdf=cdf).values[0]
                    for s in starts]
-            assert idx.valid_from == 0
             assert np.array_equal(idx.values, ref), p
 
     def test_window_bounds(self):
@@ -178,18 +177,17 @@ class TestEnergyEnvelope:
 class TestCumulantTracking:
     def test_order1_constant(self):
         idx = cumulant_tracking(np.full(30, -2.0), window=8, order=1)
-        assert np.allclose(idx.valid_values(), 2.0)
+        assert np.allclose(idx.values, 2.0)
 
     def test_order2_constant_is_zero(self):
         idx = cumulant_tracking(np.full(30, 5.0), window=8, order=2)
-        assert np.allclose(idx.valid_values(), 0.0)
+        assert np.allclose(idx.values, 0.0)
 
     def test_order2_matches_biased_variance(self):
         # the window is centred: [k - 8, k + 8) for window 16
         x = np.random.default_rng(5).normal(size=64)
         idx = cumulant_tracking(x, window=16, order=2)
         k = 40
-        assert idx.valid_from == 0
         assert idx.values[k] == pytest.approx(np.var(x[k - 8 : k + 8]), rel=1e-10)
 
     def test_bad_order(self):
@@ -330,7 +328,7 @@ class TestArTracking:
         for k in range(1, x.size):
             x[k] = 0.9 * x[k - 1] + rng.normal()
         idx = ar_tracking(x, window=2048, ar_order=4)
-        assert np.median(idx.valid_values()) <= 0.05
+        assert np.median(idx.values) <= 0.05
 
     def test_pole_flip_spikes_the_index(self):
         rng = np.random.default_rng(100)
@@ -342,7 +340,7 @@ class TestArTracking:
                 a = -0.9
             x[k] = a * x[k - 1] + rng.normal()
         idx = ar_tracking(x, window=512, ar_order=4)
-        pre_median = np.median(idx.values[idx.valid_from : T // 2 - 512])
+        pre_median = np.median(idx.values[: T // 2 - 512])
         assert idx.values[T // 2 : T // 2 + 1024].max() > 5.0 * pre_median
 
     def test_constant_series_emits_zero_and_counts_singular(self):
@@ -384,25 +382,19 @@ class TestReferenceTrigger:
 
 class TestNormalizeIndex:
     def test_simple_scaling(self):
-        idx = IndexSeries([0.0, 2.0, 4.0], valid_from=0, name="t")
+        idx = IndexSeries([0.0, 2.0, 4.0], name="t")
         out = normalize_index(idx)
         assert np.allclose(out.values, [0.0, 0.5, 1.0])
 
     def test_zero_series_passes_through(self):
-        idx = IndexSeries(np.zeros(5), valid_from=0, name="t")
+        idx = IndexSeries(np.zeros(5), name="t")
         out = normalize_index(idx)
         assert np.array_equal(out.values, np.zeros(5))
 
     def test_negative_values_keep_sign(self):
-        idx = IndexSeries([-3.0, 1.0], valid_from=0, name="t")
+        idx = IndexSeries([-3.0, 1.0], name="t")
         out = normalize_index(idx)
         assert np.allclose(out.values, [-1.0, 1.0 / 3.0])
-
-    def test_scale_ignores_warmup(self):
-        # warm-up samples are zeroed, so only the valid range sets the scale
-        idx = IndexSeries([99.0, 1.0, 2.0], valid_from=1, name="t")
-        out = normalize_index(idx)
-        assert np.allclose(out.values, [0.0, 0.5, 1.0])
 
 
 @pytest.mark.filterwarnings("error")
@@ -423,7 +415,7 @@ def test_record_copies_a_caller_array():
 
 REAL_INPUTS = {
     "record": lambda a: Record(a.reshape(2, -1)),
-    "index": lambda a: IndexSeries(a, valid_from=0, name="t"),
+    "index": lambda a: IndexSeries(a, name="t"),
     "series": lambda a: energy_envelope(a, window=1),
 }
 
@@ -442,7 +434,7 @@ def test_complex_and_non_finite_samples_rejected(make):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_every_index_is_finite_past_warmup(seed):
-    """Fuzz: random records through the whole bank, finite valid values."""
+    """Fuzz: random records through the whole bank, finite values everywhere."""
     rng = np.random.default_rng(seed)
     T = int(rng.integers(600, 1200))
     x = rng.normal(size=T) * rng.uniform(0.1, 10.0) + rng.uniform(-5, 5)
@@ -456,8 +448,7 @@ def test_every_index_is_finite_past_warmup(seed):
         energy_envelope(rec.channel(0), window=15),
     ]
     for idx in series:
-        assert np.isfinite(idx.valid_values()).all(), idx.name
-        assert np.all(idx.values[: idx.valid_from] == 0.0), idx.name
+        assert np.isfinite(idx.values).all(), idx.name
 
 
 # Each library detector at the settings `nsca detect` runs it with: the scalar
@@ -506,13 +497,11 @@ def _detector_calls():
         "ar window": lambda v: ar_tracking(x, window=v),
         "ar order": lambda v: ar_tracking(x, window=64, ar_order=v),
         "innovation window": lambda v: kalman_innovation_index(rec, model, window=v),
-        "index valid_from": lambda v: IndexSeries(x, valid_from=v, name="t"),
     }
 
 
 DETECTOR_INTS = {"ad window": 64, "envelope window": 5, "cumulant window": 64,
-                 "cumulant order": 2, "ar window": 64, "ar order": 2, "innovation window": 64,
-                 "index valid_from": 3}
+                 "cumulant order": 2, "ar window": 64, "ar order": 2, "innovation window": 64}
 
 
 @pytest.mark.filterwarnings("error")

@@ -3,6 +3,8 @@
 import errno
 import itertools
 import math
+import pathlib
+import tempfile
 import tracemalloc
 import warnings
 
@@ -50,20 +52,11 @@ class TestRoundTrips:
         assert back.channel_names == rec.channel_names
 
     def test_index(self, tmp_path):
-        idx = IndexSeries(awkward_floats(np.random.default_rng(1), 64), valid_from=0, name="t")
+        idx = IndexSeries(awkward_floats(np.random.default_rng(1), 64), name="t")
         path = tmp_path / "idx.csv"
         write_index(path, idx)
         back = read_index(path)
         assert np.array_equal(back.values, idx.values)
-
-    def test_index_drops_warmup_flag(self, tmp_path):
-        # the CSV stores only (k, value); a reread series restarts at 0
-        idx = IndexSeries(np.arange(10.0), valid_from=4, name="t")
-        path = tmp_path / "idx.csv"
-        write_index(path, idx)
-        back = read_index(path)
-        assert back.valid_from == 0
-        assert np.array_equal(back.values, idx.values)  # warm-up already zeroed
 
     def test_mask(self, tmp_path):
         part = Partition(np.random.default_rng(2).integers(0, 3, size=50), K=3)
@@ -116,7 +109,7 @@ class TestWrittenBytes:
         cases = [
             (write_record, Record(np.array([[0.1, -2.0], [1e300, 5e-324]]), 1.0, ["x", "y"]),
              "x,y\n0.10000000000000001,1.0000000000000001e+300\n-2,4.9406564584124654e-324\n"),
-            (write_index, IndexSeries(np.array([0.5, 1 / 3]), 0, "i"),
+            (write_index, IndexSeries(np.array([0.5, 1 / 3]), "i"),
              "k,value\n0,0.5\n1,0.33333333333333331\n"),
             (write_mask, Partition(np.array([0, 2, 1])), "k,label\n0,0\n1,2\n2,1\n"),
             (write_matrix, np.array([[1.0, 0.25], [-3.0, 1e-7]]), "1,0.25\n-3,9.9999999999999995e-08\n"),
@@ -645,9 +638,7 @@ class TestCliDetect:
             nsca.cli.WINDOWED)
 
     def test_index_csvs_read_back_as_computed(self, synth_dir, tmp_path):
-        # no index detect writes has a warm-up, so one read back from CSV has
-        # the same values and theta labels; AD's zeroed warm-up used to become
-        # the floor theta is measured from
+        # an index read back from CSV has the same values and theta labels
         record = read_record(synth_dir / "record.csv")
         assert run(["detect", "--record", synth_dir / "record.csv",
                     "--detectors", ",".join(nsca.cli.DETECTORS), "--out-dir", tmp_path]) == 0
@@ -658,7 +649,7 @@ class TestCliDetect:
         for name, detector in nsca.cli.DETECTORS.items():
             idx = detector(record, record.channel(0), args)
             back = read_index(tmp_path / f"{name}.csv")
-            assert idx.valid_from == 0 and np.array_equal(back.values, idx.values), name
+            assert np.array_equal(back.values, idx.values), name
             assert np.array_equal(threshold_mask(back, 0.5).labels,
                                   threshold_mask(idx, 0.5).labels), name
 
@@ -753,9 +744,26 @@ class TestCliSeparate:
                     "--window", 151, "--out-dir", d]) == 0
         # a constant index cannot split: every sample reaches 100% of peak
         idx = read_index(d / "envelope.csv")
-        write_index(d / "flat.csv", IndexSeries(np.ones(idx.length), 0, "flat"))
+        write_index(d / "flat.csv", IndexSeries(np.ones(idx.length), "flat"))
         assert run(["separate", "--record", synth_dir / "record.csv",
                     "--index", d / "flat.csv", "--theta", 1.0, "--out-dir", tmp_path]) == 4
+
+    # indexes whose max - min overflows, each with the class counts it must give
+    WIDE = {
+        "theta 0.5": (np.repeat([-1e308, 0.0, 1e308], 1000), "--theta 0.5", [1000, 2000]),
+        "theta 1.0": (np.repeat([-1e308, 0.0, 1e308], 1000), "--theta 1.0", [2000, 1000]),
+        "quantiles 2": (np.tile([-1e308, 1e308], 1500), "--quantiles 2", [1500, 1500]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WIDE))
+    def test_index_spanning_past_float_max(self, case, tmp_path, capsys):
+        values, flags, counts = self.WIDE[case]
+        write_record(tmp_path / "rec.csv", Record(np.random.default_rng(0).normal(size=(3, 3000))))
+        write_index(tmp_path / "wide.csv", IndexSeries(values, "wide"))
+        assert run(["separate", "--record", tmp_path / "rec.csv", "--index", tmp_path / "wide.csv",
+                    *flags.split(), "--out-dir", tmp_path / "out"]) == 0
+        assert capsys.readouterr().err == ""
+        assert f"class_counts: {counts}" in (tmp_path / "out" / "diagnostics.txt").read_text()
 
     def test_left_out_flags_keep_the_library_defaults(self, synth_dir, envelope_csv, tmp_path):
         outs = tmp_path / "given", tmp_path / "left-out"
@@ -813,10 +821,31 @@ class TestCliSeparate:
         # a flat index cannot be thresholded (exit 4), so exit 5 shows that
         # its length is checked before it is partitioned
         short = tmp_path / "short.csv"
-        write_index(short, IndexSeries(np.ones(100), 0, "flat"))
+        write_index(short, IndexSeries(np.ones(100), "flat"))
         assert run(["separate", "--record", synth_dir / "record.csv",
                     "--index", short, "--out-dir", tmp_path / "out"]) == 5
         assert not (tmp_path / "out").exists()
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(n=st.integers(2, 6), T=st.integers(2000, 4000), seed=st.integers(0, 2**32 - 1))
+def test_pipeline_writes_the_same_bytes_twice(n, T, seed):
+    # synth, detect and separate --theta 0.5, run twice into two directories;
+    # two shorter bursts fit in every T drawn
+    trees = []
+    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+        for d in map(pathlib.Path, (a, b)):
+            assert run(["synth", "--n", n, "--t", T, "--seed", seed, "--count", 2,
+                        "--min-len", 300, "--max-len", 450, "--out-dir", d / "synth"]) == 0
+            assert run(["detect", "--record", d / "synth" / "record.csv",
+                        "--out-dir", d / "detect"]) == 0
+            assert run(["separate", "--record", d / "synth" / "record.csv",
+                        "--index", d / "detect" / "innovation.csv", "--theta", 0.5,
+                        "--out-dir", d / "separate"]) == 0
+            trees.append({str(f.relative_to(d)): f.read_bytes()
+                          for f in sorted(d.rglob("*")) if f.is_file()})
+    assert "separate/est_sources.csv" in trees[0]
+    assert trees[0] == trees[1]
 
 
 class TestCliEval:

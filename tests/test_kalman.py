@@ -85,15 +85,14 @@ class TestBurstResponse:
             idx = kalman_innovation_index(random_walk(seed, pulses=True), random_walk_model(), 256)
             v = idx.values
             inside = v[T // 3 : 2 * T // 3].max()
-            outside = np.concatenate([v[idx.valid_from : T // 3], v[2 * T // 3 + 256 :]])
+            outside = np.concatenate([v[: T // 3], v[2 * T // 3 + 256 :]])
             assert inside >= 3.0 * np.median(outside)
 
     def test_index_background_is_innovation_mean(self):
         idx = kalman_innovation_index(random_walk(2), random_walk_model(), 128)
-        assert idx.valid_from == 0
         # matched model: the index is a local mean of e, so its background
         # level is the innovation mean, about obs_dim
-        med = np.median(idx.valid_values())
+        med = np.median(idx.values)
         assert 0.8 <= med <= 1.2
 
 
@@ -177,7 +176,7 @@ class TestFittedBackgroundModel:
         X = rng.normal(size=(2, 8000))
         rec = Record(X)
         idx = kalman_innovation_index(rec, fit_ar1_state_space(rec), 256)
-        v = idx.valid_values()
+        v = idx.values
         assert v.max() <= 2.0 * np.median(v) + 1.0
 
     def test_too_short_record_rejected(self):
@@ -404,6 +403,5 @@ def test_index_is_centred_window_mean_of_innovations(seed, n, length, data):
     idx = kalman_innovation_index(rec, model, w)
     e = normalized_innovations(rec, model)
     ref = np.array([e[max(k - w // 2, 0) : k - w // 2 + w].mean() for k in range(e.size)])
-    assert idx.valid_from == 0
     eps = np.finfo(float).eps
     assert np.all(np.abs(idx.values - ref) <= 2 * eps * e.sum() + 4 * eps * ref)

@@ -35,7 +35,14 @@ from scipy.special import ndtr
 
 from nsca import _kernels
 from nsca.cli import CLI_EASI_STEP
-from nsca.detectors import EASI_DIVERGENCE_CAP, prewhiten
+from nsca.detectors import (
+    CDF_CLAMP,
+    EASI_DIVERGENCE_CAP,
+    anderson_darling_index,
+    ar_tracking,
+    prewhiten,
+)
+from nsca.errors import InvalidWindow
 from nsca.synthetic import DEFAULT_BURST, default_source_specs, gen_mixture
 
 
@@ -66,11 +73,10 @@ class TestArSliding:
     def test_windows_match_toeplitz_solve(self, w, q):
         x = ar2_series(1500, seed=w)
         coef, ok = _kernels.ar_sliding(x, w, q)
-        assert not ok[: w - 1].any() and not coef[: w - 1].any()
-        for k in (w - 1, 700, x.size - 1):
-            assert ok[k]
-            ref = window_yule_walker(x[k - w + 1 : k + 1], q)
-            np.testing.assert_allclose(coef[k], ref, rtol=1e-8, atol=1e-10)
+        for s in (0, 700, x.size - w):
+            assert ok[s]
+            ref = window_yule_walker(x[s : s + w], q)
+            np.testing.assert_allclose(coef[s], ref, rtol=1e-8, atol=1e-10)
 
 
 class TestNormalCdf:
@@ -99,10 +105,9 @@ class TestAdSliding:
         x[300] = 40.0  # far tail: its CDF value clamps to 1 - fmin
         mu, sigma, fmin = 0.1, 1.1, 1e-12
         out = _kernels.ad_sliding(x, p, mu, sigma, fmin)
-        assert not out[: p - 1].any()
-        for k in (p - 1, 300, 300 + p - 1, x.size - 1):
-            ref = window_ad(x[k - p + 1 : k + 1], mu, sigma, fmin)
-            assert out[k] == pytest.approx(ref, rel=1e-10, abs=1e-12)
+        for s in (0, 300 - p + 1, 300, x.size - p):
+            ref = window_ad(x[s : s + p], mu, sigma, fmin)
+            assert out[s] == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
 
 def window_ad_fsum(win, mu, sigma, fmin):
@@ -124,10 +129,9 @@ class TestAdBlocks:
         x = np.random.default_rng(windows + p).normal(size=windows + p - 1)
         mu, sigma, fmin = 0.1, 1.1, 1e-12
         out = _kernels.ad_sliding(x, p, mu, sigma, fmin)
-        assert not out[: p - 1].any()
         ref = [window_ad_fsum(x[k : k + p], mu, sigma, fmin) for k in range(windows)]
         # A^2 is -p minus a sum of size about p, so its rounding scales with p
-        np.testing.assert_allclose(out[p - 1 :], ref, rtol=1e-13, atol=1e-13 * p)
+        np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-13 * p)
 
     def test_same_bytes_under_one_and_two_blas_threads(self):
         # One product over all windows differed in one row between thread
@@ -188,8 +192,8 @@ def ad_sorted_windows(x, p, mu, sigma, fmin):
     # Reference for _kernels.ad_sliding: each block of windows sorted, then
     # normal_cdf, clip, log and log1p on the sorted values and the kernel's two
     # einsum sums, as the kernel ran before it gathered per-sample logs.
-    out = np.zeros(x.shape[0])
     win = np.lib.stride_tricks.sliding_window_view(x, p)
+    out = np.empty(win.shape[0])
     i = np.arange(1, p + 1, dtype=np.float64)
     w_fwd = 2.0 * i - 1.0
     w_rev = 2.0 * (p - i + 1.0) - 1.0
@@ -199,7 +203,7 @@ def ad_sorted_windows(x, p, mu, sigma, fmin):
         F = _kernels.normal_cdf((z - mu) / sigma)
         np.clip(F, fmin, 1.0 - fmin, out=F)
         acc = np.einsum("ij,j->i", np.log(F), w_fwd) + np.einsum("ij,j->i", np.log1p(-F), w_rev)
-        out[p - 1:][a:a + block] = -p - acc / p
+        out[a:a + block] = -p - acc / p
     return out
 
 
@@ -220,6 +224,44 @@ def test_ad_sliding_is_bit_identical_to_sorted_windows(data, p, decimals, mu, si
     x[rng.integers(0, x.size, size=3)] = mu + sigma * np.array([45.0, -45.0, 40.0])
     out = _kernels.ad_sliding(x, p, mu, sigma, 1e-12)
     assert out.tobytes() == ad_sorted_windows(x, p, mu, sigma, 1e-12).tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data(), st.integers(2, 400), st.integers(0, 2**32 - 1))
+def test_detectors_take_the_full_window_nearest_to_centred(data, T, seed):
+    # Each kernel returns one row per full window, the window starting at the
+    # row. AD value k is row clip(k - p // 2, 0, T - p); AR value k is the
+    # drift of the windows starting at s and s + hop, for
+    # s = clip(k - (w + hop) // 2, 0, T - w - hop), and 0 if either window
+    # could not be fitted. A constant stretch gives windows with no power.
+    x = np.random.default_rng(seed).normal(size=T)
+    if data.draw(st.booleans(), label="constant stretch"):
+        x[: T // 2] = 1.0
+    assume(x.std() > 0)
+    p = data.draw(st.integers(1, T), label="ad window")
+    idx = anderson_darling_index(x, window=p)
+    rows = _kernels.ad_sliding(x, p, idx.meta["mean"], idx.meta["std"], CDF_CLAMP)
+    assert rows.shape == (T - p + 1,)
+    want = [rows[min(max(k - p // 2, 0), T - p)] for k in range(T)]
+    assert idx.values.tobytes() == np.array(want).tobytes()
+    q = data.draw(st.integers(1, 6), label="ar order")
+    fits = [w for w in range(4 * q, T + 1) if w + max(w // 4, 1) <= T]
+    if not fits:
+        with pytest.raises(InvalidWindow):
+            ar_tracking(x, window=4 * q, ar_order=q)
+        return
+    w = data.draw(st.sampled_from(fits), label="ar window")
+    hop = max(w // 4, 1)
+    coef, ok = _kernels.ar_sliding(x, w, q)
+    assert coef.shape == (T - w + 1, q) and ok.shape == (T - w + 1,)
+    want = []
+    for k in range(T):
+        s = min(max(k - (w + hop) // 2, 0), T - w - hop)
+        d = np.ascontiguousarray(coef[s + hop] - coef[s])
+        want.append(np.sqrt(np.sum(d * d)) if ok[s] and ok[s + hop] else 0.0)
+    idx = ar_tracking(x, window=w, ar_order=q)
+    assert idx.values.tobytes() == np.array(want).tobytes()
+    assert idx.meta["singular_windows"] == np.sum(ok == 0)
 
 
 def easi_reference(xt, lam, nonlin, cap):

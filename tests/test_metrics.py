@@ -100,50 +100,42 @@ class TestEvalMask:
 class TestEvalIndexAuc:
     def test_labels_as_index_is_perfect(self):
         labels = np.array([0, 0, 1, 1, 0, 1])
-        idx = IndexSeries(labels.astype(float), valid_from=0, name="t")
+        idx = IndexSeries(labels.astype(float), name="t")
         assert eval_index_auc(idx, Partition(labels)) == 1.0
 
     def test_independent_index_is_chance(self):
         rng = np.random.default_rng(5)
         labels = (rng.uniform(size=20_000) < 0.3).astype(int)
-        idx = IndexSeries(rng.normal(size=20_000), valid_from=0, name="t")
+        idx = IndexSeries(rng.normal(size=20_000), name="t")
         assert abs(eval_index_auc(idx, Partition(labels)) - 0.5) <= 0.05
 
     def test_ties_count_half(self):
-        idx = IndexSeries(np.ones(4), valid_from=0, name="t")
+        idx = IndexSeries(np.ones(4), name="t")
         assert eval_index_auc(idx, Partition([0, 1, 0, 1])) == 0.5
 
-    def test_warmup_excluded_from_scoring(self):
-        # the only label-1 samples sit in the warm-up: degenerate
-        labels = np.array([1, 1, 0, 0, 0])
-        idx = IndexSeries(np.arange(5.0), valid_from=2, name="t")
-        with pytest.raises(DegenerateTruth):
-            eval_index_auc(idx, Partition(labels))
-
     def test_single_label_rejected(self):
-        idx = IndexSeries(np.arange(4.0), valid_from=0, name="t")
+        idx = IndexSeries(np.arange(4.0), name="t")
         with pytest.raises(DegenerateTruth):
             eval_index_auc(idx, Partition(np.zeros(4, dtype=int)))
 
     def test_inverted_index_scores_low(self):
         labels = np.array([0, 0, 1, 1])
-        idx = IndexSeries(np.array([4.0, 3.0, 2.0, 1.0]), valid_from=0, name="t")
+        idx = IndexSeries(np.array([4.0, 3.0, 2.0, 1.0]), name="t")
         assert eval_index_auc(idx, Partition(labels)) == 0.0
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 100), st.data())
-def test_auc_matches_pairwise_count_with_ties(seed, n, levels, data):
+@given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 100))
+def test_auc_matches_pairwise_count_with_ties(seed, n, levels):
     # values take at most `levels` distinct values: one makes them all equal,
     # a few force ties
     rng = np.random.default_rng(seed)
-    valid_from = data.draw(st.integers(0, n - 2), label="valid_from")
     values = rng.integers(0, levels, n) * rng.uniform(0.5, 2.0)
     labels = rng.integers(0, 2, n)
-    # one sample of each label in the scored range
-    labels[rng.permutation(np.arange(valid_from, n))[:2]] = [0, 1]
-    pos = values[valid_from:][labels[valid_from:] == 1]
-    neg = values[valid_from:][labels[valid_from:] == 0]
+    # one sample of each label
+    labels[rng.permutation(n)[:2]] = [0, 1]
+    pos = values[labels == 1]
+    neg = values[labels == 0]
     wins = np.sum(pos[:, None] > neg[None, :]) + 0.5 * np.sum(pos[:, None] == neg[None, :])
-    idx = IndexSeries(values, valid_from=valid_from, name="t")
+    idx = IndexSeries(values, name="t")
     assert eval_index_auc(idx, Partition(labels)) == wins / (pos.size * neg.size)

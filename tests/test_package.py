@@ -1,5 +1,6 @@
-"""The package namespace, its run-time imports, and the benchmark tracer that wraps it."""
+"""The package namespace, its run-time imports, and the benchmark that wraps it."""
 
+import argparse
 import importlib.util
 import inspect
 import os
@@ -49,19 +50,24 @@ class TestPackageSurface:
         assert EARLIER_NAMES <= set(nsca.__all__)
 
 
-def _load_spans():
+def _load_perfbench(name):
+    """``perfbench/<name>.py`` as a module, with no bytecode cache written beside it."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", os.path.join(root, "perfbench", "spans.py"))
+        f"perfbench_{name}", os.path.join(root, "perfbench", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
     return module
 
 
 def test_benchmark_tracer_records_layer_spans():
     # the benchmark wraps the functions the layer lists name; a change to the
     # package that hid a call from it would drop these spans
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     originals = {name: getattr(nsca, name) for name in nsca.__all__
                  if inspect.isfunction(getattr(nsca, name))}
     tracer = spans.Tracer()
@@ -78,6 +84,29 @@ def test_benchmark_tracer_records_layer_spans():
     assert {"detectors.energy_envelope", "linalg.gevd", "kernels.jacobi_eig",
             "kernels.ajd_rotate"} <= names
     assert all(getattr(nsca, name) is fn for name, fn in originals.items())
+
+
+def test_benchmark_runs_a_lib_readme_pass(tmp_path):
+    # perfbench reads names of the package that nothing else in it uses: the
+    # kernel list, HAVE_NUMBA, normalize_index and the CLI's EASI settings. One
+    # traced pass of its library workload fails if a change to the package
+    # removed one of them.
+    run, spans, workloads = map(_load_perfbench, ("run", "spans", "workloads"))
+    meta = run.run_meta(argparse.Namespace(workload="lib_readme", seed=0, seconds=0.0, trace=1))
+    assert meta["have_numba"] is False
+    wl = workloads.WORKLOADS["lib_readme"](0, str(tmp_path))
+    wl.setup()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        raw, _wall, _units = run.run_pass(wl, tracer)
+    finally:
+        tracer.uninstall()
+    outcomes = wl.check(raw)
+    assert len(outcomes) == wl.records
+    assert [o.error for o in outcomes] == [None] * wl.records
+    names = {span[spans.NAME] for span in tracer.spans}
+    assert {"kernels.ad_sliding", "kernels.ar_sliding", "detectors.normalize_index"} <= names
 
 
 PIPELINE = """

@@ -18,8 +18,8 @@ from nsca.partition import (
 from nsca.records import IndexSeries, Record
 
 
-def series(values, valid_from=0):
-    return IndexSeries(np.asarray(values, dtype=float), valid_from=valid_from, name="t")
+def series(values):
+    return IndexSeries(np.asarray(values, dtype=float), name="t")
 
 
 class TestPartitionType:
@@ -75,13 +75,8 @@ class TestThresholdMask:
     def test_constant_index_all_above(self):
         # no theta can split a constant index
         for theta in (0.5, 1.0):
-            with pytest.raises(EmptyClass, match="the index is constant over its valid range"):
+            with pytest.raises(EmptyClass, match="the index is constant; no theta_rel splits it"):
                 threshold_mask(series([2.0, 2.0, 2.0]), theta_rel=theta)
-
-    def test_constant_valid_range_after_warmup(self):
-        # the zeroed warm-up is background, not a class the split can fill
-        with pytest.raises(EmptyClass, match="the index is constant over its valid range"):
-            threshold_mask(series([0, 0, 5, 5, 5], valid_from=2), theta_rel=0.5)
 
     def test_erosion_removes_short_events(self):
         idx = series([0.0, 10.0, 0.0, 10.0, 10.0, 10.0, 0.0])
@@ -92,13 +87,6 @@ class TestThresholdMask:
         idx = series([0.0, 10.0, 0.0, 0.0])
         with pytest.raises(EmptyClass):
             threshold_mask(idx, theta_rel=0.5, min_event_len=3)
-
-    def test_warmup_is_background(self):
-        # index values in the warm-up are zeroed and never labeled 1, and
-        # the zeros do not set the floor: the threshold is 1 + 0.1 * (8 - 1)
-        idx = series([7.0, 7.0, 1.0, 8.0], valid_from=2)
-        part = threshold_mask(idx, theta_rel=0.1)
-        assert part.labels.tolist() == [0, 0, 0, 1]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -163,6 +151,56 @@ class TestQuantilePartition:
         idx = series(np.random.default_rng(2).normal(size=777))
         part = quantile_partition(idx, K=5)
         assert part.class_counts.sum() == 777
+
+
+# float max, the smallest normal and the smallest subnormal, with both signs
+EDGES = [sign * v for v in (np.finfo(float).max, 1e308, np.finfo(float).tiny, 5e-324, 3 * 5e-324)
+         for sign in (-1.0, 1.0)]
+
+
+class TestSpanPastFloatMax:
+    # max - min of these indexes overflows; a RuntimeWarning fails the test
+    @pytest.mark.parametrize("theta,want", [(0.25, [0, 1, 1]), (0.5, [0, 1, 1]),
+                                            (0.75, [0, 0, 1]), (1.0, [0, 0, 1])])
+    def test_threshold(self, theta, want):
+        idx = series(np.repeat([-1e308, 0.0, 1e308], 1000))
+        labels = threshold_mask(idx, theta_rel=theta).labels
+        assert np.array_equal(labels, np.repeat(want, 1000))
+
+    def test_quantile_cut(self):
+        idx = series(np.tile([-1e308, 1e308], 1500))
+        assert np.array_equal(quantile_partition(idx, K=2).labels, np.tile([0, 1], 1500))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGES),
+                    min_size=2, max_size=40),
+           st.integers(1, 64), st.integers(2, 4))
+    def test_labels_are_the_plain_arithmetic_wherever_it_is_finite(self, values, theta_64ths, K):
+        # subnormal indexes included: the guard moves no label of a finite
+        # span. Past float max the rules still order the samples.
+        v = np.array(values)
+        theta = theta_64ths / 64
+        lo, hi = v.min(), v.max()
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(hi - lo)
+        try:
+            labels = threshold_mask(series(v), theta_rel=theta).labels
+        except EmptyClass:
+            labels = np.ones(v.size, dtype=np.int64)  # every sample reached it
+        if finite:
+            assert np.array_equal(labels, v >= hi - (1.0 - theta) * (hi - lo))
+        else:
+            assert v[labels == 1].min() > v[labels == 0].max()
+            if theta == 1.0:
+                assert np.array_equal(labels, v == hi)
+        if np.unique(v).size < K:
+            return
+        labels = quantile_partition(series(v), K).labels
+        if finite:
+            want = np.searchsorted(np.quantile(v, np.arange(1, K) / K), v, side="left")
+            assert np.array_equal(labels, want)
+        else:
+            assert np.all(np.diff(labels[np.argsort(v, kind="stable")]) >= 0)
 
 
 class TestClassCovariances:
